@@ -25,6 +25,7 @@ from .passes import (CommonSubexpressionEliminationPass,
                      DeadCodeEliminationPass, IndirectPrefetchPass,
                      LoopInvariantCodeMotionPass, PassManager,
                      PrefetchOptions, SimplifyCFGPass)
+from .serve.protocol import TIERS
 
 
 def _version() -> str:
@@ -91,16 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument(
         "--cache-dir", metavar="DIR",
         help="cache root (default: REPRO_SIM_CACHE_DIR or .sim-cache)")
-    bench_cmd.add_argument(
-        "--hot-report", action="store_true",
-        help="run the figure under the trace-JIT + vector tiers (disk "
-             "cache off, single process) and print the hottest compiled "
-             "traces, their vectorized-batch coverage, and their "
-             "TraceCompiled/TraceDeopt/VectorBatchCompiled/VectorDeopt "
-             "remarks")
-    bench_cmd.add_argument(
-        "--hot-top", type=int, default=10, metavar="N",
-        help="rows in the --hot-report table (default 10)")
     bench_cmd.add_argument(
         "--obs-out", metavar="FILE",
         help="after the run, write the bench metrics registry "
@@ -271,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scaled-down workload (quick smoke sizes)")
     submit_cmd.add_argument(
         "--tier", default="auto",
-        choices=("auto", "reference", "fastpath", "tracejit", "vector"),
+        choices=TIERS,
         help="execution tier gate for the worker (default auto)")
     submit_cmd.add_argument(
         "--include", default="", metavar="LIST",
@@ -484,68 +475,12 @@ _FIGURES = {
 }
 
 
-def _bench_hot_report(figure, args: argparse.Namespace, out) -> int:
-    """Run one figure under the trace-JIT + vector tiers and print the
-    hottest traces: loop header, iteration count, share of the simulated
-    instructions, and how much of each trace ran as vectorized batches,
-    plus the tiers' remark stream."""
-    from .bench.runner import TELEMETRY, TRACE_REPORT, reset_telemetry
-    from .remarks import RemarkEmitter, collecting, render_remarks
-    saved = {k: os.environ.get(k)
-             for k in ("REPRO_SIM_CACHE", "REPRO_SIM_TRACEJIT",
-                       "REPRO_SIM_VECTOR")}
-    # Cached runs never execute (no traces) and pooled workers keep
-    # their trace rows: force real single-process simulation.
-    os.environ["REPRO_SIM_CACHE"] = "0"
-    os.environ["REPRO_SIM_TRACEJIT"] = "1"
-    os.environ["REPRO_SIM_VECTOR"] = "1"
-    reset_telemetry()
-    emitter = RemarkEmitter()
-    try:
-        with collecting(emitter):
-            table = figure(args.small, 1)
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-    print(table, file=out)
-    total = TELEMETRY["simulated_instructions"]
-    rows = sorted(TRACE_REPORT, key=lambda r: r["instructions"],
-                  reverse=True)
-    top = rows[:max(args.hot_top, 0)]
-    headers = ["workload", "variant", "machine", "function", "loop",
-               "iterations", "instructions", "% sim", "vec iters"]
-    body = [[r["workload"], r["variant"], r["machine"], r["function"],
-             r["header"], r["iterations"], r["instructions"],
-             (f"{100.0 * r['instructions'] / total:.1f}%"
-              if total else "-"),
-             (f"{r['vector_iterations']} "
-              f"({r['vector_batches']} batches)"
-              if r.get("vector_batches") else "-")]
-            for r in top]
-    print(format_table(
-        headers, body,
-        f"Hottest traces — top {len(top)} of {len(rows)} "
-        f"({total} simulated instructions)"), file=out)
-    trace_remarks = [r for r in emitter
-                     if r.name in ("TraceCompiled", "TraceDeopt",
-                                   "VectorBatchCompiled", "VectorDeopt")]
-    print(render_remarks(trace_remarks,
-                         title="Trace-JIT remarks (repro-remarks-v1):"),
-          file=out)
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace, out) -> int:
     figure = _FIGURES.get(args.figure.lower())
     if figure is None:
         return _unknown_target(
             "bench", args.figure,
             "a figure (" + ", ".join(sorted(_FIGURES)) + ")")
-    if args.hot_report:
-        return _bench_hot_report(figure, args, out)
     if args.no_cache:
         os.environ["REPRO_SIM_CACHE"] = "0"
     else:

@@ -16,15 +16,9 @@ call), and the memory system's hot-line hit path (see
 :class:`~repro.machine.system.MemorySystem`) is inlined into the segment
 with the full-walk call as the fallback.
 
-The per-op code generation lives in :class:`_Emitter`, which is
-parametrized over operand naming so the same emission logic serves two
-execution tiers:
-
-* **fused segments** (this module) address the interpreter's register
-  file directly (``regs[i]`` / ``ready[i]``);
-* **compiled traces** (:mod:`repro.machine.tracejit`) lower register
-  slots to function locals (``r{i}`` / ``t{i}``) and splice whole loop
-  iterations — ops, terminators, phi moves — into one closure.
+The per-op code generation lives in :class:`_Emitter`; generated code
+addresses the interpreter's register file directly (``regs[i]`` /
+``ready[i]``).
 
 Equivalence contract
 --------------------
@@ -82,7 +76,7 @@ _BIN, _CMP, _SELECT, _CAST, _GEP, _LOAD, _STORE, _PREFETCH, _CALL, \
 #: Kind tag of a fused segment: ``(SEG, closure)``.
 _SEG = 10
 
-#: Kinds that may be folded into a fused segment (or a compiled trace).
+#: Kinds that may be folded into a fused segment.
 _FUSABLE = frozenset(
     (_BIN, _CMP, _SELECT, _CAST, _GEP, _LOAD, _STORE, _PREFETCH))
 
@@ -151,10 +145,6 @@ def _mod_expr(operand: str, modulus: int) -> str:
 def fuse_function(compiled, mode: str, bindings: dict) -> None:
     """Rewrite ``compiled.blocks`` in place, fusing instruction runs.
 
-    The pre-fusion blocks are stashed as ``compiled.raw_blocks`` so the
-    trace-JIT tier (:mod:`repro.machine.tracejit`) can recompile hot
-    loop paths from the original instruction tuples.
-
     :param compiled: a :class:`~repro.machine.interpreter._CompiledFunction`.
     :param mode: ``"func"`` (no timing), ``"inorder"`` or ``"ooo"``.
     :param bindings: runtime objects generated code binds to: ``memory``
@@ -163,7 +153,6 @@ def fuse_function(compiled, mode: str, bindings: dict) -> None:
     """
     with span("compile", "fuse", function=compiled.function.name,
               mode=mode, blocks=len(compiled.blocks)):
-        compiled.raw_blocks = compiled.blocks
         compiled.blocks = [
             (_fuse_block(insts, mode, bindings), term, count)
             for insts, term, count in compiled.blocks]
@@ -189,40 +178,21 @@ class _Emitter:
     """Generates the specialized Python source for fusable ops.
 
     One instance accumulates source lines (:attr:`body`) and runtime
-    bindings (:attr:`env`) for a single generated closure.  The operand
-    naming is the only thing the two tiers disagree on:
-
-    * ``locals_tier=False`` (fused segments): operands address the
-      interpreter's register file, ``regs[i]`` / ``ready[i]``;
-    * ``locals_tier=True`` (compiled traces): operands are function
-      locals ``r{i}`` / ``t{i}``; every slot touched is recorded in
-      :attr:`slots` so the trace assembler can emit the load/store
-      prologue and epilogue.
-
-    All timing arithmetic (issue/retire, hot-line probe, blocking
-    thresholds) is identical between tiers — it is the transcription of
-    the core and memory-system models documented in the module
-    docstring.
+    bindings (:attr:`env`) for a single generated closure.  All timing
+    arithmetic (issue/retire, hot-line probe, blocking thresholds) is
+    the transcription of the core and memory-system models documented
+    in the module docstring.
     """
 
-    def __init__(self, mode: str, bind: dict, env: dict,
-                 locals_tier: bool = False):
+    def __init__(self, mode: str, bind: dict, env: dict):
         self.mode = mode
         self.timed = mode != "func"
         self.env = env
         self.body: list[str] = []
-        self.locals_tier = locals_tier
-        #: When false, only the timing arithmetic is emitted: the
-        #: vectorized tier (:mod:`repro.machine.vectorsim`) computes all
-        #: functional effects with numpy up front and replays timing
-        #: from precomputed per-iteration values.
-        self.functional = True
-        self.slots: set[int] = set()
         self.counts = {"loads": 0, "stores": 0, "prefetches": 0}
         self.site = 0
         self._nfn = 0
         self.hot = None
-        self.stat_locals: set[tuple[str, str]] = set()
         env["_MF"] = MemoryFault
         env["_alloc_at"] = bind["memory"].allocation_at
         env["_stats"] = bind["stats"]
@@ -272,21 +242,9 @@ class _Emitter:
         """Append one source line (relative indentation preserved)."""
         self.body.append(line)
 
-    def reg(self, slot: int) -> str:
-        if self.locals_tier:
-            self.slots.add(slot)
-            return f"r{slot}"
-        return f"regs[{slot}]"
-
-    def rdy(self, slot: int) -> str:
-        if self.locals_tier:
-            self.slots.add(slot)
-            return f"t{slot}"
-        return f"ready[{slot}]"
-
     def operand(self, is_const: bool, payload) -> str:
         """Source text of one pre-resolved operand."""
-        return repr(payload) if is_const else self.reg(payload)
+        return repr(payload) if is_const else f"regs[{payload}]"
 
     def fn_call(self, fn) -> str:
         name = f"_f{self._nfn}"
@@ -341,29 +299,7 @@ class _Emitter:
             emit("ft = issue")
         for c, v in specs:
             if not c:
-                r = self.rdy(v)
-                emit(f"if {r} > issue: issue = {r}")
-
-    def branch(self, dep: str | None) -> None:
-        """``core.branch(dep)`` with core state in locals (trace tier).
-
-        ``dep`` is a source expression for the condition's ready time,
-        or ``None`` for a constant condition (dep 0.0, which never
-        dominates the non-negative clock)."""
-        emit = self.out
-        if self.mode == "inorder":
-            emit(f"t += {self.ic}")
-            if dep is not None:
-                emit(f"if {dep} > t: t = {dep}")
-        else:
-            emit(f"issue = ft + {self.ic}")
-            emit("_s = _rob[head]")
-            emit("if _s > issue: issue = _s")
-            emit("ft = issue")
-            if dep is not None:
-                emit(f"if {dep} > issue: issue = {dep}")
-            emit("done = issue + 1.0")
-            self.ooo_retire("done")
+                emit(f"if ready[{v}] > issue: issue = ready[{v}]")
 
     def alu(self, dst: int, specs, lat: float, *,
             value: str | None = None, wrapped: str | None = None) -> None:
@@ -373,27 +309,25 @@ class _Emitter:
         :param wrapped: expression put through 64-bit signed wrap first.
         """
         emit = self.out
-        if self.functional:
-            if wrapped is not None:
-                emit(f"_v = {wrapped} & {_M64}")
-                emit(f"{self.reg(dst)} = "
-                     f"_v - {_W64} if _v >= {_H64} else _v")
-            else:
-                emit(f"{self.reg(dst)} = {value}")
+        if wrapped is not None:
+            emit(f"_v = {wrapped} & {_M64}")
+            emit(f"regs[{dst}] = _v - {_W64} if _v >= {_H64} else _v")
+        else:
+            emit(f"regs[{dst}] = {value}")
         if not self.timed:
             return
         self.issue_and(specs)
         if self.mode == "inorder":
             emit("t = issue")
-            emit(f"{self.rdy(dst)} = issue + {lat!r}")
+            emit(f"ready[{dst}] = issue + {lat!r}")
         else:
             emit(f"done = issue + {lat!r}")
             self.ooo_retire("done")
-            emit(f"{self.rdy(dst)} = done")
+            emit(f"ready[{dst}] = done")
 
     # -- memory-system transcription -----------------------------------
 
-    def address(self, ptr_spec, site: int, op_name: str) -> None:
+    def address(self, ptr_spec, op_name: str) -> None:
         """Resolve ``addr``; leaves the site memo in ``_m``.
 
         ``_m`` is ``[alloc, base, end, element_size, data]`` — richer
@@ -401,6 +335,9 @@ class _Emitter:
         case needs no attribute (or property) lookups.
         """
         emit = self.out
+        site = self.site
+        self.site += 1
+        self.env[f"_c{site}"] = [None, 0, -1, 1, None]
         emit(f"addr = {self.operand(*ptr_spec)}")
         emit(f"_m = _c{site}")
         emit("if addr < _m[1] or addr >= _m[2]:")
@@ -421,25 +358,12 @@ class _Emitter:
                 f"(lines := _l1s[{hot['set']}]).get(line) is entry "
                 f"and {hot['page']} in _tp")
 
-    def stat(self, target: str, local: str) -> str:
-        """One monotone counter bump.
-
-        Fused segments bump the stats object directly; traces batch
-        into a function local the assembler flushes at trace exit (the
-        counters are write-only during a run, so only the mid-run
-        ``MemoryFault`` caveat from the module docstring widens).
-        """
-        if self.locals_tier:
-            self.stat_locals.add((local, target))
-            return f"{local} += 1"
-        return f"{target} += 1"
-
     def hot_touch(self) -> None:
         """LRU touches + hit counters of the replayed L1/TLB hit."""
         emit = self.out
         emit("    del _tp[page]")
         emit("    _tp[page] = None")
-        emit(f"    {self.stat('_tst.hits', '_nth')}")
+        emit("    _tst.hits += 1")
         emit("    del lines[line]")
         emit("    lines[line] = entry")
 
@@ -462,9 +386,9 @@ class _Emitter:
         emit(f"line = {hot['line']}")
         emit("entry = _hotget(line)")
         emit(f"if {self.hot_probe()}:")
-        emit(f"    {self.stat('_mst.demand_accesses', '_nda')}")
+        emit("    _mst.demand_accesses += 1")
         self.hot_touch()
-        emit(f"    {self.stat('_l1st.hits', '_nl1')}")
+        emit("    _l1st.hits += 1")
         if is_write:
             emit("    entry[1] = True")
             for sets_name, set_expr in self.dirty:
@@ -477,24 +401,6 @@ class _Emitter:
         # The guard above replicates load()/store()'s own memo probe, so
         # on failure go straight to the inlined miss walk.
         emit(f"    rdy = _ms_demand({pc}, addr, issue, {is_write})")
-
-    # -- functional memory effects (overridable per tier) --------------
-
-    def load_functional(self, dst: int, ptr_spec, site: int) -> None:
-        """Functional effect of a load: resolve ``addr`` + data read."""
-        self.env[f"_c{site}"] = [None, 0, -1, 1, None]
-        self.address(ptr_spec, site, "load")
-        self.out(f"{self.reg(dst)} = _m[4][_q]")
-
-    def store_functional(self, val_spec, ptr_spec, site: int) -> None:
-        """Functional effect of a store: resolve ``addr`` + data write."""
-        self.env[f"_c{site}"] = [None, 0, -1, 1, None]
-        self.address(ptr_spec, site, "store")
-        self.out(f"_m[4][_q] = {self.operand(*val_spec)}")
-
-    def prefetch_functional(self, ptr_spec) -> None:
-        """Resolve ``addr`` for a prefetch (no architectural effect)."""
-        self.out(f"addr = {self.operand(*ptr_spec)}")
 
     # -- one fusable instruction ---------------------------------------
 
@@ -556,8 +462,8 @@ class _Emitter:
         elif kind == _LOAD:
             _, dst, pc, pc_const, p, cache = inst
             self.counts["loads"] += 1
-            self.load_functional(dst, (pc_const, p), self.site)
-            self.site += 1
+            self.address((pc_const, p), "load")
+            emit(f"regs[{dst}] = _m[4][_q]")
             if self.timed:
                 self.issue_and([(pc_const, p)])
                 self.demand(pc, is_write=False)
@@ -568,12 +474,12 @@ class _Emitter:
                     emit("    t = issue")
                 else:
                     self.ooo_retire("rdy")
-                emit(f"{self.rdy(dst)} = rdy")
+                emit(f"ready[{dst}] = rdy")
         elif kind == _STORE:
             _, pc, vc, v, pc_const, p, cache = inst
             self.counts["stores"] += 1
-            self.store_functional((vc, v), (pc_const, p), self.site)
-            self.site += 1
+            self.address((pc_const, p), "store")
+            emit(f"_m[4][_q] = {self.operand(vc, v)}")
             if self.timed:
                 self.issue_and([(vc, v), (pc_const, p)])
                 self.demand(pc, is_write=True)
@@ -585,7 +491,7 @@ class _Emitter:
         elif kind == _PREFETCH:
             _, pc, pc_const, p = inst
             self.counts["prefetches"] += 1
-            self.prefetch_functional((pc_const, p))
+            emit(f"addr = {self.operand(pc_const, p)}")
             if self.timed:
                 self.issue_and([(pc_const, p)])
                 hot = self.hot
@@ -600,7 +506,7 @@ class _Emitter:
                          f"(lines := _l1s[{hot['set']}]).get(line)"
                          " is entry and "
                          f"{hot['page']} in _tp:")
-                    emit(f"    {self.stat('_mst.sw_prefetches', '_nsp')}")
+                    emit("    _mst.sw_prefetches += 1")
                     self.hot_touch()
                     emit("    acc = issue")
                     emit("else:")
@@ -612,17 +518,6 @@ class _Emitter:
                     self.ooo_retire("done")
         else:  # pragma: no cover - callers filter kinds
             raise RuntimeError(f"kind {kind} is not fusable")
-
-
-def compile_source(src: str, env: dict, entry: str, filename: str):
-    """Compile generated source through the shared code cache and
-    instantiate it against ``env``; returns the closure ``entry``."""
-    code = _CODE_CACHE.get(src)
-    if code is None:
-        code = compile(src, filename, "exec")
-        _CODE_CACHE[src] = code
-    exec(code, env)
-    return env[entry]
 
 
 def _compile_segment(ops: list, mode: str, bind: dict):
@@ -642,4 +537,9 @@ def _compile_segment(ops: list, mode: str, bind: dict):
 
     src = "def _seg(regs, ready):\n" + "".join(
         f"    {line}\n" for line in em.body)
-    return compile_source(src, env, "_seg", "<fused-segment>")
+    code = _CODE_CACHE.get(src)
+    if code is None:
+        code = compile(src, "<fused-segment>", "exec")
+        _CODE_CACHE[src] = code
+    exec(code, env)
+    return env["_seg"]

@@ -35,8 +35,6 @@ from .fastexec import (_ALLOC, _BIN, _CALL, _CAST, _CMP, _GEP, _LOAD,
                        fuse_function)
 from .memory import Allocation, Memory, MemoryFault
 from .system import MemorySystem
-from .tracejit import NO_BUDGET, TraceJIT, tracejit_enabled
-from .vectorsim import vector_enabled
 
 _M64 = (1 << 64) - 1
 
@@ -157,14 +155,10 @@ class _CompiledFunction:
     """Slot-machine form of one function."""
 
     __slots__ = ("function", "num_slots", "arg_slots", "blocks",
-                 "block_names", "prefetch_pcs", "raw_blocks")
+                 "block_names", "prefetch_pcs")
 
     def __init__(self, func: Function, pc_base: int):
         self.function = func
-        #: pre-fusion blocks, stashed by ``fuse_function`` so the
-        #: trace-JIT can recompile hot paths from the raw instruction
-        #: tuples (``None`` until the function is fused).
-        self.raw_blocks = None
         #: remark_id -> pc for prefetches carrying a stable id (set by
         #: the prefetch passes); the join layer maps compile-time
         #: remarks to runtime per-PC telemetry bins through this.
@@ -349,23 +343,12 @@ class Interpreter:
         (it observes the memory hierarchy); a collector forces the
         memory system onto its instrumented reference walks, which are
         cycle-for-cycle identical to the fast path.
-    :param tracejit: enable the trace-JIT tier on top of the fast path
-        (``None`` = follow ``REPRO_SIM_TRACEJIT``, default off).  Needs
-        both a machine model and the fast path; silently off otherwise.
-        Bit-identical to the other tiers (see
-        :mod:`repro.machine.tracejit`).
     :param timeline: a :class:`~repro.telemetry.TimelineRecorder`,
         ``True``/``False`` to force windowed counter sampling on/off,
         or ``None`` to follow ``REPRO_SIM_TIMELINE`` (default off).
         Needs a machine model.  Sampling reads counters only at the
         reference yield boundaries, so cycles are bit-identical with
-        sampling on or off under every execution tier.
-    :param vector: enable the vectorized batch tier on top of the
-        trace-JIT (``None`` = follow ``REPRO_SIM_VECTOR``, default
-        off).  Implies the trace-JIT machinery; single-block hot loops
-        with dependence-free address streams run as numpy-planned
-        batches, bit-identical to every other tier (see
-        :mod:`repro.machine.vectorsim`).
+        sampling on or off under both execution tiers.
     """
 
     def __init__(self, module: Module, memory: Memory | None = None,
@@ -373,9 +356,7 @@ class Interpreter:
                  dram: DRAMChannel | None = None,
                  fastpath: bool | None = None,
                  telemetry: "TelemetryCollector | bool | None" = None,
-                 tracejit: bool | None = None,
-                 timeline: "TimelineRecorder | bool | None" = None,
-                 vector: bool | None = None):
+                 timeline: "TimelineRecorder | bool | None" = None):
         self.module = module
         self.memory = memory if memory is not None else Memory()
         self.machine = machine
@@ -394,18 +375,6 @@ class Interpreter:
         self._pc_base = 0
         self.stats = RunStats()
         self.max_steps: int | None = None
-        # The vector tier plans batches over compiled traces, so
-        # enabling it implies the trace-JIT machinery.
-        self.vector = (self.fastpath and machine is not None
-                       and vector_enabled(vector))
-        self.tracejit = (self.fastpath and machine is not None
-                         and (tracejit_enabled(tracejit) or self.vector))
-        self._tj = TraceJIT(
-            mode="inorder" if machine and machine.in_order else "ooo",
-            bind={"memory": self.memory, "stats": self.stats,
-                  "core": self.core, "ms": self.memory_system},
-            vector=self.vector
-        ) if self.tracejit else None
 
     def _compile(self, func: Function) -> _CompiledFunction:
         compiled = self._compiled.get(func.name)
@@ -437,21 +406,13 @@ class Interpreter:
             pcs.update(compiled.prefetch_pcs)
         return pcs
 
-    def trace_report(self) -> list[dict]:
-        """Per-trace statistics from the trace-JIT tier, hottest first
-        (empty when the tier is disabled).  Row keys: ``function``,
-        ``header``, ``blocks``, ``ops``, ``entries``, ``iterations``,
-        ``instructions``."""
-        return self._tj.report() if self._tj is not None else []
-
     def run(self, func_name: str, args: list | None = None) -> RunResult:
         """Execute ``func_name`` to completion and return the result.
 
         With a timeline recorder attached, the run is driven at the
         recorder's sampling interval — the same reference yield
         boundaries ``run_stepped`` exposes, so the cycle count is
-        unchanged (yields never advance time; the trace-JIT budget
-        exits at exactly these boundaries in every tier).
+        unchanged (yields never advance time).
         """
         yield_every = (self.timeline.sample_every
                        if self.timeline is not None else 0)
@@ -523,68 +484,7 @@ class Interpreter:
         block = 0
         steps = 0
         max_steps = self.max_steps
-        # Trace-JIT tier: needs timing and clashes with max_steps (a
-        # trace books its instructions only at exit, after the check).
-        tj = self._tj if (core is not None and max_steps is None) \
-            else None
-        if tj is not None:
-            tj_state = tj.state_for(compiled)
-            traces = tj_state.traces
-            counts = tj_state.counts
-            ms = self.memory_system
-        rec_path = None
-        rec_header = -1
-        rec_self = None
         while True:
-            if tj is not None:
-                if rec_path is None:
-                    tr = traces.get(block)
-                    if tr is not None:
-                        if tr.fp == ms.fastpath:
-                            budget = (yield_every - steps) \
-                                if yield_every else NO_BUDGET
-                            vec = tr.vector
-                            out = (vec(regs, ready, budget)
-                                   if vec is not None else None)
-                            if out is None:
-                                # No vector driver, or a batch guard
-                                # deopted before any state changed:
-                                # the compiled trace replays the loop.
-                                out = tr.fn(regs, ready, budget)
-                            block, used = out
-                            steps += used
-                            if tr.entries >= 256 and \
-                                    tr.iters < (tr.entries >> 1):
-                                tj.deopt(tj_state, tr, "low-yield")
-                            if yield_every and steps >= yield_every:
-                                steps = 0
-                                yield core.time
-                            continue
-                        # e.g. a telemetry collector attached mid-run:
-                        # fall back to the fused tier for this block.
-                        tj.deopt(tj_state, tr, "memory-mode-changed")
-                    else:
-                        c = counts.get(block, 0) + 1
-                        counts[block] = c
-                        if c == tj.threshold and \
-                                block not in tj_state.blacklist:
-                            rec_header = block
-                            rec_path = [block]
-                            rec_self = set()
-                elif block == rec_header:
-                    tj.finish(compiled, tj_state, rec_path, rec_self)
-                    rec_path = None
-                elif block == rec_path[-1]:
-                    # Immediate self-revisit: a single-block inner loop,
-                    # compiled as a nested while inside the trace.
-                    rec_self.add(block)
-                elif block in rec_path or len(rec_path) >= tj.max_blocks:
-                    tj.abort(tj_state, rec_header,
-                             "inner-loop" if block in rec_path
-                             else "too-long")
-                    rec_path = None
-                else:
-                    rec_path.append(block)
             insts, term, charge = blocks[block]
             for inst in insts:
                 kind = inst[0]

@@ -11,7 +11,7 @@ job submissions the ID keys a bounded :class:`TraceBuffer` entry — a
 * the *job's* spans, shared by every coalesced waiter: queue wait,
   worker round-trip, CAS store on the server side, plus the
   worker-process :class:`~repro.telemetry.spans.SpanRecorder` records
-  (frontend compile, per-pass, fuse/trace-JIT compiles, bench
+  (frontend compile, per-pass, fuse compiles, bench
   build/simulate/validate) carried back across the pool pipe.
 
 Coalesced waiters therefore **share one job span tree but keep
@@ -95,7 +95,7 @@ def worker_stage_ms(worker_spans: list[dict]) -> dict[str, float]:
     ``compile`` aggregates the frontend parse/lower span and the bench
     build span (IR construction + passes); ``simulate`` is the timed
     interpreter run.  Everything else on the worker (prepare,
-    validate, fuse/trace-JIT compiles) stays visible in the trace but
+    validate, fuse compiles) stays visible in the trace but
     does not get its own stage histogram.
     """
     stages = {"compile": 0.0, "simulate": 0.0}

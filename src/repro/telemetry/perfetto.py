@@ -10,9 +10,8 @@ Serialises flight-recorder data as the Trace Event Format JSON that
   phase structure is visible at a glance.
 * **pid 2 — "pipeline"**: wall-clock ``X`` spans from the
   :class:`~repro.telemetry.spans.SpanRecorder` (frontend, passes,
-  fuse/trace compiles, cache probes, bench jobs) on one thread per
-  span category, and trace-JIT ``TraceCompiled``/``TraceDeopt``
-  events as instants (``ph: "i"``).
+  fuse compiles, cache probes, bench jobs) on one thread per span
+  category, and instant records as instants (``ph: "i"``).
 
 The two pids keep the two timebases (simulated cycles vs wall
 microseconds) from sharing an axis.
@@ -52,8 +51,8 @@ REQUEST_WORKER_PID = 2
 
 #: Span categories get stable thread IDs so Perfetto groups them.
 _CATEGORY_TIDS = {"bench": 1, "frontend": 2, "pass": 3, "compile": 4,
-                  "tracejit": 5, "cache": 6}
-_OTHER_TID = 7
+                  "cache": 5}
+_OTHER_TID = 6
 
 
 def _meta(pid: int, name: str, tid: int | None = None,
@@ -200,8 +199,8 @@ def build_request_trace(record: dict) -> dict:
       (coalesced waiters that joined after the job started anchor at
       0).
     * **pid 2 — "worker"**: the worker-process SpanRecorder records —
-      frontend compile, per-pass spans, fuse/trace-JIT compile spans
-      and instants, bench build/prepare/simulate/validate — anchored
+      frontend compile, per-pass spans, fuse compile spans and
+      instants, bench build/prepare/simulate/validate — anchored
       where the job's queue span ends (accurate to one pipe send).
 
     All timestamps are wall microseconds from the waiter's admission.

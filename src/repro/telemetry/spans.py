@@ -3,10 +3,10 @@
 Where :mod:`repro.telemetry.timeline` watches *simulated* time, the
 span recorder watches *wall-clock* time across the pipeline itself:
 frontend compiles, each optimization pass (the same measurement the
-``PassExecuted`` remark reports), fused-segment and trace-JIT compiles,
-run-cache probes, and bench-runner jobs.  The records feed the Chrome
-trace-event export (:mod:`repro.telemetry.perfetto`) as one span track
-per pipeline stage, with trace-JIT compile/deopt events as instants.
+``PassExecuted`` remark reports), fused-segment compiles, run-cache
+probes, and bench-runner jobs.  The records feed the Chrome trace-event
+export (:mod:`repro.telemetry.perfetto`) as one span track per pipeline
+stage, plus any instant events.
 
 The design mirrors :mod:`repro.remarks.emitter`: a context-scoped
 recorder stack, so instrumentation sites call :func:`span` /

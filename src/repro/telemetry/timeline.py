@@ -12,10 +12,9 @@ phase shows up here as two different windows.
 
 Sampling is **observational only** and happens exclusively at the
 interpreter's reference *yield boundaries* (the points where
-``run_stepped`` hands back the core time, and where the trace-JIT's
-instruction budget exits compiled traces).  All three execution tiers
-share those boundaries bit-for-bit, so a run with a recorder attached
-is cycle-identical to one without, under every tier — the equivalence
+``run_stepped`` hands back the core time).  Both execution tiers share
+those boundaries bit-for-bit, so a run with a recorder attached is
+cycle-identical to one without, under either tier — the equivalence
 suite proves it.
 
 Gating: ``REPRO_SIM_TIMELINE`` (default off) enables recording for runs

@@ -139,31 +139,6 @@ class TestUniformUnknownTargets:
         assert "unknown machine" in capsys.readouterr().err
 
 
-class TestBenchHotReport:
-    def test_hot_report_prints_traces_and_remarks(self):
-        code, out = run_cli("bench", "fig2", "--small", "--hot-report",
-                            "--hot-top", "5")
-        assert code == 0
-        assert "Fig. 2: prefetch schemes" in out
-        assert "Hottest traces" in out
-        # The trace table carries per-trace provenance columns…
-        for column in ("workload", "function", "iterations",
-                       "% sim"):
-            assert column in out
-        # …and the remark stream section follows.
-        assert "Trace-JIT remarks (repro-remarks-v1):" in out
-        assert "TraceCompiled" in out
-
-    def test_hot_report_restores_environment(self, monkeypatch):
-        import os
-        monkeypatch.delenv("REPRO_SIM_TRACEJIT", raising=False)
-        monkeypatch.setenv("REPRO_SIM_CACHE", "0")
-        code, _ = run_cli("bench", "fig2", "--small", "--hot-report")
-        assert code == 0
-        assert "REPRO_SIM_TRACEJIT" not in os.environ
-        assert os.environ["REPRO_SIM_CACHE"] == "0"
-
-
 class TestRingClampViaCli:
     """An invalid REPRO_SIM_TELEMETRY_RING must warn and fall back —
     never abort — when reached through the CLI's telemetry runs."""

@@ -101,6 +101,61 @@ def build_random_kernel(seed: int, n: int = 512) -> Module:
     return module
 
 
+def build_nested_kernel(n: int = 256) -> Module:
+    """Outer loop over ``i`` with a data-dependent single-block inner
+    loop (``j`` up to ``i & 7``): the inner block branches back to
+    itself, so one fused block is re-entered many times in a row."""
+    module = Module("nested")
+    func = module.create_function(
+        "kernel", VOID,
+        [("a", pointer(INT64)), ("out", pointer(INT64)), ("n", INT64)])
+    a, out, nval = func.args
+    for arg in (a, out):
+        arg.array_size = Constant(INT64, n)
+        arg.noalias = True
+
+    b = IRBuilder()
+    entry = func.add_block("entry")
+    outer = func.add_block("outer")
+    inner = func.add_block("inner")
+    latch = func.add_block("latch")
+    exit_ = func.add_block("exit")
+    mask = Constant(INT64, n - 1)
+
+    b.set_insert_point(entry)
+    b.br(b.cmp("sgt", nval, b.const(0), "guard"), outer, exit_)
+
+    b.set_insert_point(outer)
+    i = b.phi(INT64, "i")
+    limit = b.and_(i, b.const(7), "limit")
+    b.jmp(inner)
+
+    b.set_insert_point(inner)
+    j = b.phi(INT64, "j")
+    s = b.phi(INT64, "s")
+    idx = b.and_(b.add(i, j, "ij"), mask, "idx")
+    v = b.load(b.gep(a, idx, "ap"), "v")
+    s2 = b.add(s, v, "s2")
+    j2 = b.add(j, b.const(1), "j2")
+    b.br(b.cmp("slt", j2, limit, "more"), inner, latch)
+    j.add_incoming(b.const(0), outer)
+    j.add_incoming(j2, inner)
+    s.add_incoming(b.const(0), outer)
+    s.add_incoming(s2, inner)
+
+    b.set_insert_point(latch)
+    b.store(s2, b.gep(out, i, "op"))
+    i2 = b.add(i, b.const(1), "i2")
+    b.br(b.cmp("slt", i2, nval, "cond"), outer, exit_)
+    i.add_incoming(b.const(0), entry)
+    i.add_incoming(i2, latch)
+
+    b.set_insert_point(exit_)
+    b.ret()
+    verify_module(module)
+    return module
+
+
 def run_engine(module: Module, machine, fastpath: bool, seed: int,
                n: int = 512):
     """Run a random kernel under one engine; returns (snapshot, out)."""
@@ -141,6 +196,42 @@ class TestRandomKernelEquivalence:
         assert out_fast == out_slow
 
 
+def run_nested(machine, fastpath: bool, yield_every: int = 0,
+               n: int = 256):
+    """Run :func:`build_nested_kernel`, whole or through
+    ``run_stepped``; returns (snapshot, out)."""
+    mem = Memory(machine.line_size)
+    data = np.random.default_rng(7).integers(0, 1 << 40, n)
+    a = mem.allocate(8, n, "a")
+    a.fill(data)
+    out = mem.allocate(8, n, "out")
+    interp = Interpreter(build_nested_kernel(n), mem, machine=machine,
+                         fastpath=fastpath)
+    if yield_every:
+        for _ in interp.run_stepped("kernel", [a.base, out.base, n],
+                                    yield_every=yield_every):
+            pass
+    else:
+        interp.run("kernel", [a.base, out.base, n])
+    return snapshot(interp), list(out.data)
+
+
+class TestSteppedEquivalence:
+    @pytest.mark.parametrize("machine", (HASWELL, A53),
+                             ids=lambda m: m.name)
+    def test_nested_loop_stepped(self, machine):
+        """A fused single-block inner loop ends bit-identical to the
+        reference engine whether it runs whole or yields every 300
+        instructions (the multicore scheduler's stepping)."""
+        plain, out_plain = run_nested(machine, fastpath=False)
+        whole, out_whole = run_nested(machine, fastpath=True)
+        stepped, out_stepped = run_nested(machine, fastpath=True,
+                                          yield_every=300)
+        assert whole == plain
+        assert stepped == plain
+        assert out_whole == out_plain == out_stepped
+
+
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("machine", ALL_MACHINES,
                              ids=lambda m: m.name)
@@ -178,20 +269,15 @@ class TestWorkloadEquivalence:
         assert snaps[0] == snaps[1]
 
 
-#: Execution tiers of the engine: reference, fused fast path, the
-#: trace JIT on top of the fast path (``REPRO_SIM_TRACEJIT=1``), and
-#: the vectorized batch tier on top of the trace JIT
-#: (``REPRO_SIM_VECTOR=1``).  Each entry is (fastpath, tracejit,
-#: vector).
-TIERS = ((False, False, False), (True, False, False),
-         (True, True, False), (True, True, True))
+#: Execution tiers of the engine, as the ``fastpath`` flag: the
+#: reference engine and the fused fast path.
+TIERS = (False, True)
 
 
 class TestTelemetryEquivalence:
     """Telemetry is observational: attaching a collector must leave
-    every timing and architectural counter bit-identical, under every
-    execution tier (reference, fused fast path, trace JIT, vectorized
-    batches)."""
+    every timing and architectural counter bit-identical, under both
+    execution tiers (reference and fused fast path)."""
 
     @pytest.mark.parametrize("machine", (HASWELL, A53),
                              ids=lambda m: m.name)
@@ -199,7 +285,7 @@ class TestTelemetryEquivalence:
     def test_tier_telemetry_matrix(self, machine, variant):
         from repro.workloads import IntegerSort
         snaps = {}
-        for fastpath, tracejit, vector in TIERS:
+        for fastpath in TIERS:
             for telemetry in (False, True):
                 wl = IntegerSort(num_keys=2000, num_buckets=1 << 14)
                 module = wl.build_variant(variant)
@@ -207,8 +293,6 @@ class TestTelemetryEquivalence:
                 prepared = wl.prepare(mem)
                 interp = Interpreter(module, mem, machine=machine,
                                      fastpath=fastpath,
-                                     tracejit=tracejit,
-                                     vector=vector,
                                      telemetry=telemetry)
                 result = interp.run(wl.entry, prepared.args)
                 prepared.validate()
@@ -216,9 +300,8 @@ class TestTelemetryEquivalence:
                     assert result.telemetry is not None
                 else:
                     assert result.telemetry is None
-                snaps[(fastpath, tracejit, vector, telemetry)] = \
-                    snapshot(interp)
-        base = snaps[(False, False, False, False)]
+                snaps[(fastpath, telemetry)] = snapshot(interp)
+        base = snaps[(False, False)]
         for combo, snap in snaps.items():
             assert snap == base, f"diverged at {combo}"
 
@@ -227,7 +310,7 @@ class TestTelemetryEquivalence:
     def test_manual_deep_chain_matrix(self, machine):
         from repro.workloads import hj8
         snaps = {}
-        for fastpath, tracejit, vector in TIERS:
+        for fastpath in TIERS:
             for telemetry in (False, True):
                 wl = hj8(num_probes=1200, num_buckets=1 << 11)
                 module = wl.build_variant("manual")
@@ -235,14 +318,11 @@ class TestTelemetryEquivalence:
                 prepared = wl.prepare(mem)
                 interp = Interpreter(module, mem, machine=machine,
                                      fastpath=fastpath,
-                                     tracejit=tracejit,
-                                     vector=vector,
                                      telemetry=telemetry)
                 interp.run(wl.entry, prepared.args)
                 prepared.validate()
-                snaps[(fastpath, tracejit, vector, telemetry)] = \
-                    snapshot(interp)
-        base = snaps[(False, False, False, False)]
+                snaps[(fastpath, telemetry)] = snapshot(interp)
+        base = snaps[(False, False)]
         for combo, snap in snaps.items():
             assert snap == base, f"diverged at {combo}"
 

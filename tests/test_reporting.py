@@ -1,4 +1,8 @@
-"""Text-rendering helpers: tables, series, telemetry columns."""
+"""Text-rendering helpers: tables, series, telemetry columns, and the
+EXPERIMENTS.md table filler."""
+
+import importlib.util
+import pathlib
 
 from repro.bench.reporting import (format_series, format_table,
                                    telemetry_summary)
@@ -72,3 +76,19 @@ class TestTelemetrySummary:
         summary = telemetry_summary(snap)
         assert summary == {"Pf issued": 10, "Pf timely": 4,
                            "Pf late": 1, "Pf accuracy": 0.5}
+
+
+class TestFillExperiments:
+    def test_every_block_names_an_archived_table(self):
+        """A misspelt name would make a refresh overwrite a measured
+        table with a "(not yet measured)" placeholder."""
+        path = (pathlib.Path(__file__).resolve().parent.parent
+                / "tools" / "fill_experiments.py")
+        spec = importlib.util.spec_from_file_location(
+            "fill_experiments", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        missing = [name for names in tool.BLOCKS.values()
+                   for name in names
+                   if not (tool.RESULTS / name).is_file()]
+        assert missing == []

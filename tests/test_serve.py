@@ -99,6 +99,8 @@ class TestNormalizeRequest:
         {"workload": "is", "include": ["cycles"]},
         {"workload": "is", "options": {"unroll": True}},
         {"workload": "is", "tier": "gpu"},
+        {"workload": "is", "tier": "tracejit"},    # retired tier
+        {"workload": "is", "tier": "vector"},      # retired tier
         {"kind": "compile"},                       # missing source
         {"kind": "compile", "source": "   "},
         {"kind": "sleep", "seconds": 1},           # debug only
@@ -254,6 +256,13 @@ class TestServerBasics:
                 server, {"workload": "not-a-workload"})
             assert status == 400
             assert "unknown workload" in body["error"]
+            for tier in ("tracejit", "vector"):        # retired tiers
+                status, body = await roundtrip(
+                    server, {"workload": "is", "small": True,
+                             "tier": tier})
+                assert status == 400
+                assert "['auto', 'reference', 'fastpath']" \
+                    in body["error"]
         serve_scenario(scenario)(tmp_path)
 
     def test_simulate_then_cas_hit(self, tmp_path):

@@ -30,10 +30,9 @@ from repro.telemetry.timeline import (DEFAULT_WINDOW_CYCLES,
                                       resolve_timeline,
                                       timeline_enabled, timeline_window)
 
-#: Execution tiers (fastpath, tracejit, vector) — as in
+#: Execution tiers (the ``fastpath`` flag) — as in
 #: tests/test_fastpath_equivalence.py.
-TIERS = ((False, False, False), (True, False, False),
-         (True, True, False), (True, True, True))
+TIERS = (False, True)
 
 
 def snapshot(interp: Interpreter) -> dict:
@@ -195,7 +194,7 @@ class TestTimelineEnvGates:
 
 class TestTimelineTierIdentity:
     """Simulated cycles and telemetry aggregates must be bit-identical
-    with timeline sampling on vs off, across every execution tier on
+    with timeline sampling on vs off, across both execution tiers on
     at least two machines."""
 
     @pytest.mark.parametrize("machine", (HASWELL, A53),
@@ -205,7 +204,7 @@ class TestTimelineTierIdentity:
         from repro.workloads import IntegerSort
         snaps = {}
         telemetries = {}
-        for fastpath, tracejit, vector in TIERS:
+        for fastpath in TIERS:
             for timeline in (False, True):
                 wl = IntegerSort(num_keys=2000, num_buckets=1 << 14)
                 module = wl.build_variant(variant)
@@ -217,8 +216,6 @@ class TestTimelineTierIdentity:
                             if timeline else False)
                 interp = Interpreter(module, mem, machine=machine,
                                      fastpath=fastpath,
-                                     tracejit=tracejit,
-                                     vector=vector,
                                      telemetry=True,
                                      timeline=recorder)
                 result = interp.run(wl.entry, prepared.args)
@@ -228,25 +225,15 @@ class TestTimelineTierIdentity:
                     assert result.timeline["windows"]
                 else:
                     assert result.timeline is None
-                key = (fastpath, tracejit, vector, timeline)
+                key = (fastpath, timeline)
                 snaps[key] = snapshot(interp)
                 telemetries[key] = result.telemetry
-        base = snaps[(False, False, False, False)]
-        base_tel = telemetries[(False, False, False, False)]
-        # The "vector" telemetry section attributes classification to
-        # the batch tier and is (by design) the one tier-dependent part
-        # of the snapshot; everything else must match bit-for-bit.
-        base_cmp = {k: v for k, v in base_tel.items() if k != "vector"}
+        base = snaps[(False, False)]
+        base_tel = telemetries[(False, False)]
         for combo, snap in snaps.items():
             assert snap == base, f"counters diverged at {combo}"
-            tel = telemetries[combo]
-            cmp = {k: v for k, v in tel.items() if k != "vector"}
-            assert cmp == base_cmp, (
+            assert telemetries[combo] == base_tel, (
                 f"telemetry diverged at {combo}")
-            if not combo[2]:
-                assert tel["vector"]["per_pc"] == {}, (
-                    f"vector attribution outside the vector tier "
-                    f"at {combo}")
 
     @pytest.mark.parametrize("machine", (HASWELL, A53),
                              ids=lambda m: m.name)
@@ -311,7 +298,7 @@ class TestSpans:
             assert active_recorder() is rec
             with span("cache", "probe", key="abc") as s:
                 s["hit"] = True
-            instant("tracejit", "TraceCompiled", ops=7)
+            instant("compile", "SegmentCompiled", ops=7)
         assert active_recorder() is None
         (sp,) = rec.spans()
         assert sp["category"] == "cache"
@@ -319,7 +306,7 @@ class TestSpans:
         assert sp["args"] == {"key": "abc", "hit": True}
         assert sp["dur_us"] >= 0
         (inst,) = [r for r in rec.records if r["type"] == "instant"]
-        assert inst["name"] == "TraceCompiled"
+        assert inst["name"] == "SegmentCompiled"
         assert inst["args"] == {"ops": 7}
 
     def test_nested_spans_record_in_completion_order(self):
