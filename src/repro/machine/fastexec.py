@@ -4,17 +4,35 @@ The slot-machine compiler (:mod:`repro.machine.interpreter`) produces one
 tuple per instruction and dispatches on an opcode kind in a large
 ``if``/``elif`` chain, paying a Python-level dispatch plus one or more
 core-model method calls per dynamic instruction.  This module rewrites
-each basic block's straight-line runs of fusable instructions into a
-single generated-Python closure (a *superinstruction*): operand slots,
-constants, per-op latencies and the core's issue/retire arithmetic are
-baked into the source text, the closure is ``exec``-compiled once, and
-the core's architectural state is read at segment entry and written back
-at segment exit — one core interaction per segment instead of one method
-call per instruction.  Common 64-bit integer wrap-around arithmetic,
-comparisons and casts are emitted as inline expressions (no closure
-call), and the memory system's hot-line hit path (see
-:class:`~repro.machine.system.MemorySystem`) is inlined into the segment
+basic blocks into generated-Python closures (*superinstructions*):
+operand slots, constants, per-op latencies and the core's issue/retire
+arithmetic are baked into the source text, the closure is
+``exec``-compiled once, and the core's architectural state is read at
+closure entry and written back at closure exit — one core interaction
+per closure instead of one method call per instruction.  Common 64-bit
+integer wrap-around arithmetic, comparisons and casts are emitted as
+inline expressions (no closure call), and the memory system's hot-line
+hit path (see :class:`~repro.machine.system.MemorySystem`) is inlined
 with the full-walk call as the fallback.
+
+Two closure shapes exist:
+
+* **whole block** — a block whose instructions are all fusable and
+  whose terminator is ``jmp`` or ``br`` compiles into one
+  ``_blk(regs, ready) -> next block index``.  After the block's ops it
+  charges the branch (``core.branch`` transcribed, dep ``ready[cond]``
+  for a ``br`` on a register, ``0.0`` otherwise), books the block's
+  ``RunStats`` counters (instructions, the branch, loads/stores/
+  prefetches) and applies the taken edge's phi moves as a parallel
+  copy: a tuple assignment evaluates every source value (and, timed,
+  every source ready time, ``0.0`` for constants) before writing any
+  destination, so phi swaps and a branch on a phi the edge overwrites
+  behave like the dispatch loop's ``_apply_moves``.  The interpreter
+  then only does its step/``max_steps``/yield bookkeeping per visit.
+* **segment** — in a block containing a call or an alloc, or ending in
+  ``ret``, each straight-line run of fusable instructions becomes one
+  ``_seg(regs, ready)``; the call/alloc and the terminator stay on the
+  dispatch path.
 
 The per-op code generation lives in :class:`_Emitter`; generated code
 addresses the interpreter's register file directly (``regs[i]`` /
@@ -38,11 +56,13 @@ the same order, on the same floats:
   for every int under Python's floor-division semantics;
 * instruction counters are charged in bulk with the same totals.
 
-The only observable difference is *when* ``RunStats`` memory-op counters
-are incremented: the slow path counts per instruction, segments count at
-segment end.  A run that raises ``MemoryFault`` mid-segment therefore
-leaves slightly different in-flight counters behind — completed runs are
-indistinguishable.
+The only observable difference is *when* ``RunStats`` and core counters
+are incremented: the slow path counts per instruction, closures count at
+closure end (and a whole-block closure charges its branch before the
+interpreter's ``max_steps`` check, which the slow path makes just ahead
+of the terminator).  A run that raises mid-block therefore leaves
+slightly different in-flight counters behind — ``stats.instructions``
+at a ``max_steps`` raise, and completed runs, are indistinguishable.
 
 Calls and allocations are never fused (they recurse into the interpreter
 or mutate the address space layout); they split a block into several
@@ -76,7 +96,7 @@ _BIN, _CMP, _SELECT, _CAST, _GEP, _LOAD, _STORE, _PREFETCH, _CALL, \
 #: Kind tag of a fused segment: ``(SEG, closure)``.
 _SEG = 10
 
-#: Kinds that may be folded into a fused segment.
+#: Kinds that may be folded into a fused closure.
 _FUSABLE = frozenset(
     (_BIN, _CMP, _SELECT, _CAST, _GEP, _LOAD, _STORE, _PREFETCH))
 
@@ -115,6 +135,10 @@ _INLINE_CMP = {
 #: (slots, pcs, latencies, machine parameters) but no object identities,
 #: so one code object serves every interpreter with the same block shape.
 _CODE_CACHE: dict[str, object] = {}
+#: Entries past which :data:`_CODE_CACHE` is cleared wholesale.  Sources
+#: embed IR constants (e.g. a prefetch look-ahead), so a long-lived
+#: process compiling many variants would otherwise grow it forever.
+_CODE_CACHE_LIMIT = 512
 
 
 def fastpath_enabled(explicit: bool | None = None) -> bool:
@@ -145,6 +169,11 @@ def _mod_expr(operand: str, modulus: int) -> str:
 def fuse_function(compiled, mode: str, bindings: dict) -> None:
     """Rewrite ``compiled.blocks`` in place, fusing instruction runs.
 
+    A block of fusable instructions ending in ``jmp``/``br`` becomes
+    ``(closure, None, charge)``: one whole-block closure returning the
+    next block index.  Any other block keeps its terminator and has its
+    fusable runs replaced by ``(SEG, closure)`` items.
+
     :param compiled: a :class:`~repro.machine.interpreter._CompiledFunction`.
     :param mode: ``"func"`` (no timing), ``"inorder"`` or ``"ooo"``.
     :param bindings: runtime objects generated code binds to: ``memory``
@@ -154,11 +183,15 @@ def fuse_function(compiled, mode: str, bindings: dict) -> None:
     with span("compile", "fuse", function=compiled.function.name,
               mode=mode, blocks=len(compiled.blocks)):
         compiled.blocks = [
-            (_fuse_block(insts, mode, bindings), term, count)
-            for insts, term, count in compiled.blocks]
+            _fuse_block(insts, term, charge, mode, bindings)
+            for insts, term, charge in compiled.blocks]
 
 
-def _fuse_block(insts: list, mode: str, bindings: dict) -> list:
+def _fuse_block(insts: list, term: tuple, charge: int, mode: str,
+                bindings: dict) -> tuple:
+    if term[0] != "ret" and all(inst[0] in _FUSABLE for inst in insts):
+        return (_compile(insts, mode, bindings, term, charge), None,
+                charge)
     items: list = []
     run: list = []
     for inst in insts:
@@ -166,12 +199,12 @@ def _fuse_block(insts: list, mode: str, bindings: dict) -> list:
             run.append(inst)
         else:
             if run:
-                items.append((_SEG, _compile_segment(run, mode, bindings)))
+                items.append((_SEG, _compile(run, mode, bindings)))
                 run = []
             items.append(inst)
     if run:
-        items.append((_SEG, _compile_segment(run, mode, bindings)))
-    return items
+        items.append((_SEG, _compile(run, mode, bindings)))
+    return (items, term, charge)
 
 
 class _Emitter:
@@ -519,9 +552,61 @@ class _Emitter:
         else:  # pragma: no cover - callers filter kinds
             raise RuntimeError(f"kind {kind} is not fusable")
 
+    # -- block terminator ----------------------------------------------
 
-def _compile_segment(ops: list, mode: str, bind: dict):
-    """Generate, compile and instantiate the closure for one run."""
+    def branch(self, term: tuple) -> None:
+        """Timing of ``core.branch``: dep ``ready[cond]`` for a ``br``
+        on a register, ``0.0`` (no operand) otherwise."""
+        self.issue_and([term[1:3]] if term[0] == "br" else [])
+        if self.mode == "inorder":
+            self.out("t = issue")
+        else:
+            self.out(f"done = issue + {_ALU_LATENCY!r}")
+            self.ooo_retire("done")
+
+    def edge(self, target: int, moves: tuple, indent: str) -> None:
+        """Phi moves of one CFG edge, then ``return target``.
+
+        Moves are a parallel copy: each tuple assignment evaluates every
+        source (value, then ready time) before writing any destination,
+        so a phi swap reads the pre-edge values like the slow path's
+        ``_apply_moves``.
+        """
+        if moves:
+            dsts = ", ".join(f"regs[{d}]" for d, _, _ in moves)
+            srcs = ", ".join(self.operand(c, v) for _, c, v in moves)
+            self.out(f"{indent}{dsts} = {srcs}")
+            if self.timed:
+                dsts = ", ".join(f"ready[{d}]" for d, _, _ in moves)
+                srcs = ", ".join("0.0" if c else f"ready[{v}]"
+                                 for _, c, v in moves)
+                self.out(f"{indent}{dsts} = {srcs}")
+        self.out(f"{indent}return {target}")
+
+    def edges(self, term: tuple) -> None:
+        """Select the taken edge of a ``jmp``/``br`` terminator."""
+        if term[0] == "jmp":
+            _, target, moves = term
+            self.edge(target, moves, "")
+            return
+        _, cc, c, t, tmoves, e, emoves = term
+        if cc:
+            self.edge(*((t, tmoves) if c else (e, emoves)), "")
+            return
+        self.out(f"if regs[{c}]:")
+        self.edge(t, tmoves, "    ")
+        self.edge(e, emoves, "")
+
+
+def _compile(ops: list, mode: str, bind: dict, term: tuple | None = None,
+             charge: int = 0):
+    """Generate, compile and instantiate the closure for one run.
+
+    Without ``term`` this is a segment ``_seg(regs, ready)``; with a
+    ``jmp``/``br`` terminator it is the whole block
+    ``_blk(regs, ready) -> next block index``, charging ``charge``
+    instructions and the branch like the dispatch loop does.
+    """
     env: dict = {}
     em = _Emitter(mode, bind, env)
     if em.timed:
@@ -529,17 +614,27 @@ def _compile_segment(ops: list, mode: str, bind: dict):
     for inst in ops:
         em.op(inst)
     if em.timed:
+        if term is not None:
+            em.branch(term)
         em.core_epilogue()
-        em.out(f"_core.instructions += {len(ops)}")
+        em.out(f"_core.instructions += {len(ops) + (term is not None)}")
+    if term is not None:
+        em.out(f"_stats.instructions += {charge}")
+        em.out("_stats.branches += 1")
     for field, n in em.counts.items():
         if n:
             em.out(f"_stats.{field} += {n}")
+    name = "_seg" if term is None else "_blk"
+    if term is not None:
+        em.edges(term)
 
-    src = "def _seg(regs, ready):\n" + "".join(
+    src = f"def {name}(regs, ready):\n" + "".join(
         f"    {line}\n" for line in em.body)
     code = _CODE_CACHE.get(src)
     if code is None:
+        if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
+            _CODE_CACHE.clear()
         code = compile(src, "<fused-segment>", "exec")
         _CODE_CACHE[src] = code
     exec(code, env)
-    return env["_seg"]
+    return env[name]

@@ -151,6 +151,11 @@ def _cast_fn(opcode: str, from_type, to_type):
     raise ValueError(f"no interpreter for cast {opcode}")
 
 
+def _max_steps_error(max_steps: int) -> RuntimeError:
+    return RuntimeError(
+        f"exceeded max_steps={max_steps} (possible infinite loop)")
+
+
 class _CompiledFunction:
     """Slot-machine form of one function."""
 
@@ -191,6 +196,8 @@ class _CompiledFunction:
         # Per block: (compiled items, terminator, instruction charge).
         # The charge is fixed at compile time (pre-fusion) so fused
         # execution books the same `stats.instructions` per block visit.
+        # Fusion may turn an entry into (whole-block closure, None,
+        # charge).
         self.blocks: list[tuple[list, tuple, int]] = []
         pc = pc_base
         for block in func.blocks:
@@ -486,6 +493,18 @@ class Interpreter:
         max_steps = self.max_steps
         while True:
             insts, term, charge = blocks[block]
+            if term is None:
+                # Whole-block closure (see fastexec.fuse_function): ops,
+                # branch, counters and phi moves in one call.
+                block = insts(regs, ready)
+                steps += charge
+                if max_steps is not None and stats.instructions > max_steps:
+                    raise _max_steps_error(max_steps)
+                if yield_every and steps >= yield_every and \
+                        core is not None:
+                    steps = 0
+                    yield core.time
+                continue
             for inst in insts:
                 kind = inst[0]
                 if kind == _SEG:
@@ -629,9 +648,7 @@ class Interpreter:
             stats.instructions += charge
             steps += charge
             if max_steps is not None and stats.instructions > max_steps:
-                raise RuntimeError(
-                    f"exceeded max_steps={max_steps} "
-                    f"(possible infinite loop)")
+                raise _max_steps_error(max_steps)
             # Terminator.
             op = term[0]
             if op == "jmp":

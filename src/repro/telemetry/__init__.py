@@ -34,8 +34,7 @@ from .collector import (DEFAULT_RING_CAPACITY, MAX_RING_CAPACITY,
                         ring_capacity, telemetry_enabled)
 from .outcomes import (DROPPED, EARLY, LATE, OUTCOMES, REDUNDANT, TIMELY,
                        UNUSED)
-from .spans import (SpanRecorder, active_recorder, instant, recording,
-                    span)
+from .spans import SpanRecorder, active_recorder, recording, span
 from .timeline import (DEFAULT_SAMPLE_EVERY, DEFAULT_WINDOW_CYCLES,
                        MIN_WINDOW_CYCLES, TimelineRecorder,
                        resolve_timeline, timeline_enabled,
@@ -49,5 +48,5 @@ __all__ = [
     "TimelineRecorder", "resolve_timeline", "timeline_enabled",
     "timeline_window", "DEFAULT_WINDOW_CYCLES", "MIN_WINDOW_CYCLES",
     "DEFAULT_SAMPLE_EVERY",
-    "SpanRecorder", "recording", "span", "instant", "active_recorder",
+    "SpanRecorder", "recording", "span", "active_recorder",
 ]

@@ -11,7 +11,7 @@ Serialises flight-recorder data as the Trace Event Format JSON that
 * **pid 2 — "pipeline"**: wall-clock ``X`` spans from the
   :class:`~repro.telemetry.spans.SpanRecorder` (frontend, passes,
   fuse compiles, cache probes, bench jobs) on one thread per span
-  category, and instant records as instants (``ph: "i"``).
+  category.
 
 The two pids keep the two timebases (simulated cycles vs wall
 microseconds) from sharing an axis.
@@ -111,7 +111,7 @@ def timeline_events(label: str, timeline: dict, tid: int) -> list[dict]:
 
 
 def span_events(recorder) -> list[dict]:
-    """Wall-clock span/instant events from a
+    """Wall-clock span events from a
     :class:`~repro.telemetry.spans.SpanRecorder`."""
     events: list[dict] = []
     seen_tids: set[int] = set()
@@ -123,17 +123,11 @@ def span_events(recorder) -> list[dict]:
                 "ph": "M", "pid": PIPELINE_PID, "tid": tid,
                 "name": "thread_name",
                 "args": {"name": record["category"]}})
-        if record["type"] == "span":
-            events.append({
-                "ph": "X", "pid": PIPELINE_PID, "tid": tid,
-                "cat": record["category"], "name": record["name"],
-                "ts": record["start_us"], "dur": record["dur_us"],
-                "args": dict(record["args"])})
-        else:
-            events.append({
-                "ph": "i", "s": "t", "pid": PIPELINE_PID, "tid": tid,
-                "cat": record["category"], "name": record["name"],
-                "ts": record["ts_us"], "args": dict(record["args"])})
+        events.append({
+            "ph": "X", "pid": PIPELINE_PID, "tid": tid,
+            "cat": record["category"], "name": record["name"],
+            "ts": record["start_us"], "dur": record["dur_us"],
+            "args": dict(record["args"])})
     return events
 
 
@@ -162,7 +156,7 @@ def build_trace(rows: list[dict], recorder=None,
 
 def _record_events(records: list[dict], pid: int, tid: int,
                    offset_us: int = 0) -> list[dict]:
-    """Render span/instant records (the shared
+    """Render span records (the shared
     :class:`~repro.telemetry.spans.SpanRecorder` record shape) as
     trace events on one thread, shifted by ``offset_us``."""
     events: list[dict] = []
@@ -174,13 +168,6 @@ def _record_events(records: list[dict], pid: int, tid: int,
                 "name": record["name"],
                 "ts": record["start_us"] + offset_us,
                 "dur": record["dur_us"],
-                "args": dict(record.get("args", {}))})
-        elif record.get("type") == "instant":
-            events.append({
-                "ph": "i", "s": "t", "pid": pid, "tid": tid,
-                "cat": record.get("category", "span"),
-                "name": record["name"],
-                "ts": record["ts_us"] + offset_us,
                 "args": dict(record.get("args", {}))})
     return events
 
@@ -199,8 +186,8 @@ def build_request_trace(record: dict) -> dict:
       (coalesced waiters that joined after the job started anchor at
       0).
     * **pid 2 — "worker"**: the worker-process SpanRecorder records —
-      frontend compile, per-pass spans, fuse compile spans and
-      instants, bench build/prepare/simulate/validate — anchored
+      frontend compile, per-pass spans, fuse compile spans, bench
+      build/prepare/simulate/validate — anchored
       where the job's queue span ends (accurate to one pipe send).
 
     All timestamps are wall microseconds from the waiter's admission.

@@ -3,17 +3,17 @@
 Where :mod:`repro.telemetry.timeline` watches *simulated* time, the
 span recorder watches *wall-clock* time across the pipeline itself:
 frontend compiles, each optimization pass (the same measurement the
-``PassExecuted`` remark reports), fused-segment compiles, run-cache
+``PassExecuted`` remark reports), fused-block compiles, run-cache
 probes, and bench-runner jobs.  The records feed the Chrome trace-event
 export (:mod:`repro.telemetry.perfetto`) as one span track per pipeline
-stage, plus any instant events.
+stage.
 
 The design mirrors :mod:`repro.remarks.emitter`: a context-scoped
-recorder stack, so instrumentation sites call :func:`span` /
-:func:`instant` unconditionally and pay nothing unless a recorder is
-installed via :func:`recording`.  Spans are recorded in completion
-order (a parent closes after its children), which is deterministic for
-a deterministic pipeline; only the wall-clock timestamps vary run to
+recorder stack, so instrumentation sites call :func:`span`
+unconditionally and pay nothing unless a recorder is installed via
+:func:`recording`.  Spans are recorded in completion order (a parent
+closes after its children), which is deterministic for a deterministic
+pipeline; only the wall-clock timestamps vary run to
 run, and the export's canonical form zeroes them.
 
 Process scope: the recorder is in-process only.  Forked bench workers
@@ -30,7 +30,7 @@ _ACTIVE: list["SpanRecorder"] = []
 
 
 class SpanRecorder:
-    """Append-only list of span/instant records with a private epoch.
+    """Append-only list of span records with a private epoch.
 
     Timestamps are integer microseconds since the recorder was
     created, so a single recorder's records share one timebase.
@@ -53,13 +53,6 @@ class SpanRecorder:
             "type": "span", "category": category, "name": name,
             "start_us": int(start_us), "dur_us": max(0, int(dur_us)),
             "args": dict(args or {})})
-
-    def add_instant(self, category: str, name: str,
-                    args: dict | None = None) -> None:
-        """Record a zero-duration event at the current time."""
-        self.records.append({
-            "type": "instant", "category": category, "name": name,
-            "ts_us": self.now_us(), "args": dict(args or {})})
 
     def spans(self, category: str | None = None) -> list[dict]:
         """The recorded spans, optionally filtered by category."""
@@ -118,9 +111,3 @@ def span(category: str, name: str, **args):
         recorder.add_span(category, name, start,
                           recorder.now_us() - start, args)
 
-
-def instant(category: str, name: str, **args) -> None:
-    """Record an instant event (no-op when no recorder is active)."""
-    recorder = _ACTIVE[-1] if _ACTIVE else None
-    if recorder is not None:
-        recorder.add_instant(category, name, args)

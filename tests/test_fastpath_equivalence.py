@@ -273,6 +273,172 @@ class TestWorkloadEquivalence:
 #: reference engine and the fused fast path.
 TIERS = (False, True)
 
+#: Hand-written loops exercising whole-block terminators.
+#:
+#: ``swap``: ``%x``/``%y`` swap on every back edge, which sequential
+#: phi copies would collapse to one value.
+#: ``phi_cond``: the loop branches on ``%go``, a phi that the taken
+#: edge's moves overwrite, so the branch must read it (value and ready
+#: time) before the moves.
+#: ``empty_const``: a constant-condition ``br`` in the entry, an empty
+#: ``jmp``-only preheader and an empty latch whose constant-false ``br``
+#: carries the back-edge moves.
+TERMINATOR_KERNELS = {
+    "swap": """
+func @kernel(%a: i64*, %out: i64*, %n: i64) -> void {
+entry:
+  jmp loop
+loop:
+  %i = phi i64 [0, entry], [%i.next, loop]
+  %x = phi i64 [1, entry], [%y, loop]
+  %y = phi i64 [2, entry], [%x, loop]
+  %p = gep i64* %a, %i
+  %v = load i64* %p
+  %s = add i64 %x, %v
+  %q = gep i64* %out, %i
+  store i64 %s, %q
+  %i.next = add i64 %i, 1
+  %c = cmp slt i64 %i.next, %n
+  br %c, loop, exit
+exit:
+  ret
+}
+""",
+    "phi_cond": """
+func @kernel(%a: i64*, %out: i64*, %n: i64) -> void {
+entry:
+  jmp loop
+loop:
+  %i = phi i64 [0, entry], [%i.next, loop]
+  %go = phi i1 [1, entry], [%more, loop]
+  %p = gep i64* %a, %i
+  %v = load i64* %p
+  %q = gep i64* %out, %i
+  store i64 %v, %q
+  %i.next = add i64 %i, 1
+  %more = cmp slt i64 %i.next, %n
+  br %go, loop, exit
+exit:
+  ret
+}
+""",
+    "empty_const": """
+func @kernel(%a: i64*, %out: i64*, %n: i64) -> void {
+entry:
+  br 1, pre, exit
+pre:
+  jmp loop
+loop:
+  %i = phi i64 [0, pre], [%i.next, latch]
+  %j = add i64 %i, 8
+  %pf = gep i64* %a, %j
+  prefetch i64* %pf
+  %p = gep i64* %a, %i
+  %v = load i64* %p
+  %w = mul i64 %v, 3
+  %q = gep i64* %out, %i
+  store i64 %w, %q
+  %i.next = add i64 %i, 1
+  %c = cmp slt i64 %i.next, %n
+  br %c, latch, exit
+latch:
+  br 0, exit, loop
+exit:
+  ret
+}
+""",
+}
+
+
+def run_terminator_kernel(name: str, machine, fastpath: bool,
+                          yield_every: int = 0, n: int = 48):
+    """Run one :data:`TERMINATOR_KERNELS` entry (``machine=None`` is
+    functional mode); returns (observables, yielded core times, which
+    blocks run as whole-block closures)."""
+    from repro.ir import parse_module
+    mem = Memory(machine.line_size if machine else 64)
+    a = mem.allocate(8, n + 8, "a")
+    a.fill([(i * 7919) % 1009 for i in range(n + 8)])
+    out = mem.allocate(8, n + 1, "out")
+    interp = Interpreter(parse_module(TERMINATOR_KERNELS[name]), mem,
+                         machine=machine, fastpath=fastpath)
+    times = list(interp.run_stepped("kernel", [a.base, out.base, n],
+                                    yield_every=yield_every))
+    whole = [term is None
+             for _, term, _ in interp._compiled["kernel"].blocks]
+    observed = {"run_stats": dataclasses.asdict(interp.stats),
+                "out": list(out.data)}
+    if machine is not None:
+        observed.update(snapshot(interp))
+    return observed, times, whole
+
+
+class TestFusedTerminatorEquivalence:
+    """Whole-block closures (branch timing, counters and parallel-copy
+    phi moves compiled into the block) match the dispatch path."""
+
+    @pytest.mark.parametrize("machine", (None,) + ALL_MACHINES,
+                             ids=lambda m: m.name if m else "func")
+    @pytest.mark.parametrize("name", sorted(TERMINATOR_KERNELS))
+    def test_whole_run(self, name, machine):
+        slow, _, slow_whole = run_terminator_kernel(name, machine, False)
+        fast, _, fast_whole = run_terminator_kernel(name, machine, True)
+        assert not any(slow_whole)
+        # Every block but the last (``ret``) one is fused whole.
+        assert fast_whole == [True] * (len(fast_whole) - 1) + [False]
+        assert fast == slow
+
+    @pytest.mark.parametrize("machine", (HASWELL, A53),
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("yield_every", (1, 7, 300))
+    @pytest.mark.parametrize("name", sorted(TERMINATOR_KERNELS))
+    def test_stepped(self, name, machine, yield_every):
+        slow, slow_times, _ = run_terminator_kernel(
+            name, machine, False, yield_every=yield_every)
+        fast, fast_times, _ = run_terminator_kernel(
+            name, machine, True, yield_every=yield_every)
+        assert slow_times
+        assert fast_times == slow_times
+        assert fast == slow
+
+    def test_phi_semantics(self):
+        """The functional results themselves (not only tier agreement):
+        the swap alternates, the lagging phi runs one extra iteration."""
+        n = 48
+        swap, _, _ = run_terminator_kernel("swap", None, True, n=n)
+        a = [(i * 7919) % 1009 for i in range(n + 8)]
+        assert swap["out"][:n] == [a[i] + (1 if i % 2 == 0 else 2)
+                                   for i in range(n)]
+        lag, _, _ = run_terminator_kernel("phi_cond", None, True, n=n)
+        assert lag["out"] == a[:n + 1]
+
+
+class TestCodeCacheBound:
+    def test_cache_is_cleared_past_its_limit(self, monkeypatch):
+        """Distinct sources (here: distinct prefetch distances) past the
+        limit clear the code cache instead of growing it; runs compiled
+        before and after a clear still match the reference engine."""
+        from repro.ir import parse_module
+        from repro.machine import fastexec
+        monkeypatch.setattr(fastexec, "_CODE_CACHE", {})
+        monkeypatch.setattr(fastexec, "_CODE_CACHE_LIMIT", 4)
+        text = TERMINATOR_KERNELS["empty_const"]
+        for distance in range(1, 13):
+            module_text = text.replace("add i64 %i, 8",
+                                       f"add i64 %i, {distance}")
+            snaps = []
+            for fastpath in TIERS:
+                mem = Memory(HASWELL.line_size)
+                a = mem.allocate(8, 64, "a")
+                a.fill(list(range(64)))
+                out = mem.allocate(8, 40, "out")
+                interp = Interpreter(parse_module(module_text), mem,
+                                     machine=HASWELL, fastpath=fastpath)
+                interp.run("kernel", [a.base, out.base, 40])
+                snaps.append((snapshot(interp), list(out.data)))
+            assert snaps[0] == snaps[1]
+            assert 0 < len(fastexec._CODE_CACHE) <= 4
+
 
 class TestTelemetryEquivalence:
     """Telemetry is observational: attaching a collector must leave

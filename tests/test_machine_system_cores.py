@@ -327,7 +327,7 @@ class TestInterpreterSemantics:
         with pytest.raises(TypeError):
             interp.run("f", [])
 
-    def test_max_steps_guard(self):
+    def _check_max_steps_guard(self, fastpath):
         text = """
         func @forever() -> void {
         entry:
@@ -337,10 +337,20 @@ class TestInterpreterSemantics:
         }
         """
         from repro.ir import parse_module
-        interp = Interpreter(parse_module(text))
+        interp = Interpreter(parse_module(text), fastpath=fastpath)
         interp.max_steps = 1000
-        with pytest.raises(RuntimeError, match="max_steps"):
+        with pytest.raises(RuntimeError,
+                           match=r"exceeded max_steps=1000"):
             interp.run("forever", [])
+        # Both tiers raise at the same block visit: the first one that
+        # takes the count past the limit (one instruction per visit).
+        assert interp.stats.instructions == 1001
+
+    def test_max_steps_guard(self):
+        self._check_max_steps_guard(fastpath=False)
+
+    def test_max_steps_guard_fastpath(self):
+        self._check_max_steps_guard(fastpath=True)
 
     def test_stats_counters(self, indirect_module):
         mem = Memory()

@@ -23,7 +23,7 @@ from repro.machine.memory import Memory
 from repro.telemetry.perfetto import (PIPELINE_PID, SIM_PID,
                                       build_trace, canonical_json)
 from repro.telemetry.spans import (SpanRecorder, active_recorder,
-                                   instant, recording, span)
+                                   recording, span)
 from repro.telemetry.timeline import (DEFAULT_WINDOW_CYCLES,
                                       MIN_WINDOW_CYCLES,
                                       TimelineRecorder,
@@ -290,7 +290,6 @@ class TestSpans:
         assert active_recorder() is None
         with span("bench", "x", a=1) as extra:
             extra["b"] = 2            # accepted, goes nowhere
-        instant("bench", "y")         # no crash
 
     def test_span_records_with_merged_args(self):
         rec = SpanRecorder()
@@ -298,16 +297,12 @@ class TestSpans:
             assert active_recorder() is rec
             with span("cache", "probe", key="abc") as s:
                 s["hit"] = True
-            instant("compile", "SegmentCompiled", ops=7)
         assert active_recorder() is None
         (sp,) = rec.spans()
         assert sp["category"] == "cache"
         assert sp["name"] == "probe"
         assert sp["args"] == {"key": "abc", "hit": True}
         assert sp["dur_us"] >= 0
-        (inst,) = [r for r in rec.records if r["type"] == "instant"]
-        assert inst["name"] == "SegmentCompiled"
-        assert inst["args"] == {"ops": 7}
 
     def test_nested_spans_record_in_completion_order(self):
         rec = SpanRecorder()

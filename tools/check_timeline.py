@@ -37,7 +37,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 #: Trace-event phases the exporter is allowed to emit.
-_ALLOWED_PHASES = {"M", "X", "C", "i"}
+_ALLOWED_PHASES = {"M", "X", "C"}
 
 
 def collect_trace(small: bool = True, window: int = 5_000) -> dict:
@@ -112,7 +112,7 @@ def check_trace(trace: dict) -> dict[str, int]:
             f"unknown pid: {event}")
         assert isinstance(event.get("name"), str) and event["name"], (
             f"unnamed event: {event}")
-        if ph in ("X", "C", "i"):
+        if ph in ("X", "C"):
             assert isinstance(event.get("ts"), (int, float)), (
                 f"missing ts: {event}")
             assert isinstance(event.get("args"), dict), (
@@ -120,9 +120,6 @@ def check_trace(trace: dict) -> dict[str, int]:
         if ph == "C":
             assert event["pid"] == SIM_PID, (
                 f"counter off the simulation pid: {event}")
-        if ph == "i":
-            assert event["pid"] == PIPELINE_PID, (
-                f"instant off the pipeline pid: {event}")
         counts[ph] = counts.get(ph, 0) + 1
     assert counts.get("C", 0) > 0, "no counter events"
     assert counts.get("X", 0) > 0, "no span events"
