@@ -10,13 +10,12 @@ figures' data-generation sequencing), and a hash of the simulator's own
 source code so any engine change invalidates everything.
 
 Cache layout: ``<root>/<key[:2]>/<key>.json``, one JSON-serialised
-:class:`~repro.bench.runner.VariantResult` per file.  The disk layer is
-:class:`repro.serve.cas.ContentStore` — the content-addressed store
-shared with ``repro serve`` — so writes are atomic (same-directory temp
-file + rename), corrupt or truncated entries read as misses, and
-concurrent runner/server processes can share a root; ``repro cache gc``
-garbage-collects it.  :class:`RunCache` adds a per-process in-memory
-layer on top.
+:class:`~repro.bench.runner.VariantResult` per file.  The store is
+:class:`repro.serve.cas.MemoStore` — the content-addressed store shared
+with ``repro serve``, with its bounded per-process memo — so writes are
+atomic (same-directory temp file + rename), corrupt or truncated
+entries read as misses, and concurrent runner/server processes can
+share a root; ``repro cache gc`` garbage-collects it.
 
 Environment:
 
@@ -35,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..serve.cas import ContentStore
+from ..serve.cas import MemoStore
 from ..telemetry.spans import span
 
 #: Bump when cached-result semantics change without a source change.
@@ -122,37 +121,24 @@ def run_key(ir_text: str, machine, workload, validate: bool,
     return hashlib.sha256(token.encode()).hexdigest()
 
 
-class RunCache(ContentStore):
-    """Content-addressed store of run results with an in-memory layer.
+class RunCache(MemoStore):
+    """Content-addressed store of run results.
 
-    The disk behaviour — atomic writes, corrupt-entry tolerance under
-    concurrent writers — is inherited from :class:`ContentStore`; this
-    class adds the per-process memo and span instrumentation.
+    Disk and memo behaviour — atomic writes, corrupt-entry tolerance
+    under concurrent writers, the bounded in-memory layer — come from
+    :class:`MemoStore`; this class adds the span instrumentation.
     """
-
-    def __init__(self, root: str | os.PathLike):
-        super().__init__(root)
-        self._mem: dict[str, dict] = {}
 
     def get(self, key: str) -> dict | None:
         """Cached result dict for ``key``, or ``None`` (corrupt = miss)."""
         with span("cache", "probe", key=key[:12]) as s:
-            data = self._mem.get(key)
-            if data is None:
-                data = super().get(key)  # counts the hit or miss
-                if data is None:
-                    s["hit"] = False
-                    return None
-                self._mem[key] = data
-            else:
-                self.hits += 1
-            s["hit"] = True
+            data = super().get(key)
+            s["hit"] = data is not None
             return data
 
     def put(self, key: str, data: dict) -> None:
         """Store a result, atomically (safe under concurrent writers)."""
         with span("cache", "store", key=key[:12]):
-            self._mem[key] = data
             super().put(key, data)
 
 
@@ -169,8 +155,8 @@ def resolve_run_cache(cache) -> RunCache | None:
 
     ``RunCache`` → itself; ``False`` → disabled; ``None`` → enabled iff
     ``REPRO_SIM_CACHE=1``, rooted at :func:`default_cache_dir` (one
-    shared instance per root, so the in-memory layer persists across
-    calls); ``True`` → enabled regardless of the environment.
+    shared instance per root, so the memo persists across calls);
+    ``True`` → enabled regardless of the environment.
     """
     if isinstance(cache, RunCache):
         return cache

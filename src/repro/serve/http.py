@@ -115,10 +115,12 @@ def render_response(status: int, body, *, headers: dict | None = None,
                     close: bool = False) -> bytes:
     """Render a full HTTP/1.1 response.
 
-    ``body`` may be a dict (serialised as JSON) or raw bytes.
+    ``body`` may be a dict (serialised as compact JSON — ``indent``
+    would force CPython's pure-Python encoder onto every response) or
+    raw bytes.
     """
     if isinstance(body, (dict, list)):
-        payload = (json.dumps(body, indent=1) + "\n").encode()
+        payload = (json.dumps(body) + "\n").encode()
         content_type = "application/json"
     else:
         payload = body if isinstance(body, bytes) else str(body).encode()

@@ -12,10 +12,12 @@ running task; killing the process is the only reliable reclaim.)
 
 Mechanics: each :class:`_Worker` is a child process on the other end of
 a duplex pipe, looping ``recv → execute → send``.  The async side
-submits through a thread pool sized to the worker count — each thread
-does the blocking ``send``/``poll(timeout)``/``recv`` for exactly one
-worker at a time, so ``await pool.run(...)`` composes with the event
-loop while the pipe I/O stays simple and portable.
+submits through a thread pool sized to the worker count, and each of
+its threads is bound to one worker for life, doing that worker's
+blocking ``send``/``poll(timeout)``/``recv`` — so ``await
+pool.run(...)`` composes with the event loop while the pipe I/O stays
+simple and portable.  The thread pool's own queue is the only job
+queue: a job waits there until a thread (and so its worker) is free.
 
 The multiprocessing start method defaults to ``fork`` where available
 (workers inherit the loaded interpreter — startup and respawn are
@@ -28,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
-import queue
+import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -158,13 +160,17 @@ class WorkerPool:
         #: thread-safe and must never raise.
         self.on_event = on_event
         self._workers = [_Worker(ctx, i) for i in range(self.size)]
-        self._idle: queue.Queue[_Worker] = queue.Queue()
         for worker in self._workers:
-            self._idle.put(worker)
             self._event("worker_start", worker=worker.index,
                         pid=worker.process.pid)
+        # Exactly ``size`` threads, each claiming one worker as it
+        # starts: a job picked up by a thread owns that thread's
+        # worker, with no second hand-off queue.
+        self._unbound = list(self._workers)
+        self._bound = threading.local()
         self._threads = ThreadPoolExecutor(
-            max_workers=self.size, thread_name_prefix="repro-serve-io")
+            max_workers=self.size, thread_name_prefix="repro-serve-io",
+            initializer=self._bind_thread)
         #: Workers killed for blowing their deadline (metrics).
         self.restarts = 0
         self._closing = False
@@ -188,58 +194,59 @@ class WorkerPool:
         self._event("worker_restart", worker=worker.index,
                     pid=worker.process.pid)
 
-    def _submit_sync(self, payload: dict, deadline: float | None,
+    def _bind_thread(self) -> None:
+        self._bound.worker = self._unbound.pop()
+
+    def _submit_sync(self, payload: dict, enqueued: float,
                      timeout: float | None,
                      obs: dict | None = None) -> dict:
         """Blocking submit, run on a pool I/O thread.
 
-        ``deadline`` is absolute (``time.monotonic``), stamped at
-        admission in :meth:`run` — time a job spends queued behind
-        other work on these threads counts against its budget, so
-        client-visible latency really is bounded by the advertised
-        per-request deadline.
+        ``enqueued`` (``time.monotonic``) is stamped in :meth:`run`
+        before the job enters the thread pool's queue: the queue wait
+        is measured from it, and the deadline counts from it, so time
+        a job spends queued behind other work counts against its
+        budget and client-visible latency really is bounded by the
+        advertised per-request deadline.
         """
-        queued_at = time.monotonic()
-        worker = self._idle.get()
+        worker = self._bound.worker
+        deadline = None if timeout is None else enqueued + timeout
         if obs is not None:
             # Queue wait plus trace context ride to the worker in an
             # ``_obs`` envelope; workers unwrap it (bare payloads — the
             # non-traced path and direct pool users — pass through
             # untouched, keeping the wire format backward-compatible).
-            obs["queue_ms"] = (time.monotonic() - queued_at) * 1e3
+            obs["queue_ms"] = (time.monotonic() - enqueued) * 1e3
             if obs.get("trace"):
                 payload = {"_obs": {"trace": True,
                                     "request_id": obs.get("request_id")},
                            "job": payload}
+        if deadline is not None and time.monotonic() >= deadline:
+            # The budget burned down in the queue; the worker was
+            # never touched, so there is nothing to recycle.
+            raise JobTimeout(
+                f"job spent its {timeout:.1f}s deadline queued "
+                f"behind other work; retry when load drops")
         try:
-            if deadline is not None and time.monotonic() >= deadline:
-                # The budget burned down in the queue; the worker was
-                # never touched, so there is nothing to recycle.
+            worker.conn.send(payload)
+        except (BrokenPipeError, OSError):
+            # The worker died idle (OOM-killed, operator signal):
+            # one respawn-and-retry before giving up.
+            self._recycle(worker)
+            worker.conn.send(payload)
+        try:
+            if deadline is not None and \
+                    not worker.conn.poll(
+                        max(0.0, deadline - time.monotonic())):
+                self._recycle(worker)
                 raise JobTimeout(
-                    f"job spent its {timeout:.1f}s deadline queued "
-                    f"behind other work; retry when load drops")
-            try:
-                worker.conn.send(payload)
-            except (BrokenPipeError, OSError):
-                # The worker died idle (OOM-killed, operator signal):
-                # one respawn-and-retry before giving up.
-                self._recycle(worker)
-                worker.conn.send(payload)
-            try:
-                if deadline is not None and \
-                        not worker.conn.poll(
-                            max(0.0, deadline - time.monotonic())):
-                    self._recycle(worker)
-                    raise JobTimeout(
-                        f"job exceeded {timeout:.1f}s; worker "
-                        f"{worker.index} was recycled")
-                return worker.conn.recv()
-            except (EOFError, OSError) as exc:
-                self._recycle(worker)
-                raise WorkerCrash(
-                    f"worker {worker.index} died mid-job") from exc
-        finally:
-            self._idle.put(worker)
+                    f"job exceeded {timeout:.1f}s; worker "
+                    f"{worker.index} was recycled")
+            return worker.conn.recv()
+        except (EOFError, OSError) as exc:
+            self._recycle(worker)
+            raise WorkerCrash(
+                f"worker {worker.index} died mid-job") from exc
 
     async def run(self, payload: dict,
                   timeout: float | None = None,
@@ -249,15 +256,13 @@ class WorkerPool:
         *now* (admission), not when an I/O thread picks the job up.
 
         ``obs`` (optional, mutated in place) is the observability
-        context: on return ``obs["queue_ms"]`` holds the measured
-        idle-slot wait, and ``obs["trace"] = True`` asks the worker to
-        record execution spans (returned via the result's ``_trace``
-        section)."""
+        context: on return ``obs["queue_ms"]`` holds the time from
+        this call until a worker picked the job up, and
+        ``obs["trace"] = True`` asks the worker to record execution
+        spans (returned via the result's ``_trace`` section)."""
         loop = asyncio.get_running_loop()
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
         return await loop.run_in_executor(
-            self._threads, self._submit_sync, payload, deadline,
+            self._threads, self._submit_sync, payload, time.monotonic(),
             timeout, obs)
 
     def close(self) -> None:

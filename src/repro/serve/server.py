@@ -6,7 +6,9 @@ Request lifecycle (``POST /v1/jobs``):
    400 without touching a worker.
 2. **CAS probe** — the canonical request hashes to a content key
    (:func:`repro.serve.protocol.request_key`); a stored result answers
-   immediately (``cached: true``).
+   immediately (``cached: true``).  A result in the store's memo is
+   answered on the event loop; only a memo miss reads the disk, on an
+   I/O thread.
 3. **Coalesce** — if an identical request is already in flight, the
    handler awaits the *same* future (``coalesced: true``): N clients
    asking for one simulation cost one simulation.  The job is owned by
@@ -53,7 +55,7 @@ from ..obs.logs import AccessLogger
 from ..obs.metrics import LATENCY_BUCKETS_MS, Registry
 from ..obs.trace import (DEFAULT_CAPACITY, RequestSpans, TraceBuffer,
                          make_record, new_request_id, worker_stage_ms)
-from .cas import ContentStore, valid_key
+from .cas import MemoStore, valid_key
 from .http import (ProtocolError, error_body, read_request,
                    render_response, wants_close)
 from .pool import JobTimeout, WorkerCrash, WorkerPool
@@ -366,7 +368,7 @@ class Server:
 
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
-        self.store = ContentStore(self.config.resolved_store_dir())
+        self.store = MemoStore(self.config.resolved_store_dir())
         self.metrics = ServeMetrics()
         self.traces = TraceBuffer(self.config.trace_capacity)
         self.log = AccessLogger(self.config.log_format)
@@ -376,6 +378,7 @@ class Server:
         self._inflight: dict[str, _Inflight] = {}
         # CAS disk I/O runs on these threads, never on the event loop:
         # a slow disk or a full-store GC scan must not stall /healthz.
+        # Only memo peeks (memory reads) happen on the loop.
         self._io = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-serve-cas")
 
@@ -509,7 +512,9 @@ class Server:
         if not valid_key(key):
             return 404, error_body(
                 404, f"not a content key: {key[:32]!r}")
-        data = await self._store_io(self.store.get, key)
+        data = self.store.peek(key)
+        if data is None:
+            data = await self._store_io(self.store.get, key)
         if data is None:
             return 404, error_body(404, f"no stored result {key[:16]}…")
         return 200, data
@@ -565,8 +570,12 @@ class Server:
         storable = norm["kind"] != "sleep"
         if storable:
             probe_start = spans.now_us()
-            hit = await self._store_io(self.store.get, key)
-            spans.span("probe", probe_start, {"hit": hit is not None})
+            hit, layer = self.store.peek(key), "memory"
+            if hit is None:
+                layer = "disk"
+                hit = await self._store_io(self.store.get, key)
+            spans.span("probe", probe_start,
+                       {"hit": hit is not None, "layer": layer})
             if hit is not None:
                 self.metrics.cas_hit()
                 self._finish_submit(request_id, spans, norm, key,

@@ -1,18 +1,23 @@
 """Tests for the content-addressed store's GC and the ``repro cache
-gc`` CLI, plus the concurrent-writer hardening of the shared disk
-layer (two-process race test)."""
+gc`` CLI, the bounded result memo (:class:`MemoStore`), plus the
+concurrent-writer hardening of the shared disk layer (two-process race
+test)."""
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import multiprocessing
 import os
 import time
 
+import pytest
+
 from repro.bench.cache import RunCache
 from repro.cli import main
-from repro.serve.cas import ContentStore, store_key
+from repro.serve import cas
+from repro.serve.cas import ContentStore, MemoStore, store_key
 
 
 def fill(store: ContentStore, n: int, payload_bytes: int = 200):
@@ -107,6 +112,95 @@ class TestContentStoreGC:
         os.utime(stale, (time.time() - 7200, time.time() - 7200))
         store.gc(max_bytes=1 << 30)
         assert not stale.exists()
+
+
+class TestMemoStore:
+    @staticmethod
+    def entry(i: int) -> dict:
+        return {"i": i, "pad": "x" * 200}
+
+    def test_lru_evicts_at_byte_bound(self, tmp_path, monkeypatch):
+        size = len(json.dumps(self.entry(0)).encode())
+        monkeypatch.setattr(cas, "MEMO_MAX_BYTES", 3 * size)
+        store = MemoStore(tmp_path)
+        keys = [store_key({"entry": i}) for i in range(4)]
+        for i, key in enumerate(keys[:3]):
+            store.put(key, self.entry(i))
+        assert store._mem.nbytes == 3 * size
+        assert store.peek(keys[0]) == self.entry(0)  # now most recent
+        store.put(keys[3], self.entry(3))
+        # The least recently used entry went; the total stays bounded.
+        assert keys[1] not in store._mem
+        assert all(k in store._mem for k in (keys[0], keys[2], keys[3]))
+        assert store._mem.nbytes == 3 * size
+        assert store.peek(keys[1]) is None
+        assert store.get(keys[1]) == self.entry(1)  # still on disk
+        assert keys[1] in store._mem                # and memoised again
+        assert store._mem.nbytes == 3 * size
+
+    def test_entry_larger_than_bound_is_not_memoised(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(cas, "MEMO_MAX_BYTES", 10)
+        store = MemoStore(tmp_path)
+        key = store_key({"big": True})
+        store.put(key, self.entry(0))
+        assert len(store._mem) == 0 and store._mem.nbytes == 0
+        assert store.get(key) == self.entry(0)
+
+    def test_reads_decode_fresh_dicts(self, tmp_path):
+        store = MemoStore(tmp_path)
+        key = store_key({"x": 1})
+        store.put(key, {"nested": {"n": 1}})
+        store.peek(key)["nested"]["n"] = 99
+        store.get(key)["nested"]["n"] = 98
+        assert store.peek(key) == {"nested": {"n": 1}}
+
+    def test_gc_drops_evicted_keys_from_memory(self, tmp_path):
+        store = MemoStore(tmp_path)
+        keys = fill(store, 6)
+        assert all(key in store._mem for key in keys)
+        per_entry = store.total_bytes() // 6
+        store.gc(max_bytes=per_entry * 3, dry_run=True)
+        assert all(key in store._mem for key in keys)
+        report = store.gc(max_bytes=per_entry * 3)
+        assert report["removed"] == keys[:3]
+        for key in keys[:3]:
+            assert key not in store._mem
+            assert store.peek(key) is None
+            assert store.get(key) is None
+        assert all(store.peek(key) is not None for key in keys[3:])
+
+    def test_failed_put_leaves_no_memory_entry(self, tmp_path,
+                                               monkeypatch):
+        store = MemoStore(tmp_path)
+        key = store_key({"full": "disk"})
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(cas.os, "replace", disk_full)
+        with pytest.raises(OSError):
+            store.put(key, self.entry(0))
+        assert key not in store._mem
+        assert store.peek(key) is None
+        assert store.get(key) is None
+        assert list(tmp_path.glob("??/*.tmp")) == []
+        with pytest.raises(TypeError):     # unserialisable payload
+            store.put(key, {"bad": object()})
+        assert len(store._mem) == 0
+
+    def test_run_cache_uses_the_shared_memo(self, tmp_path):
+        cache = RunCache(tmp_path)
+        assert isinstance(cache, MemoStore)
+        assert isinstance(cache._mem, cas.ByteLRU)
+        key = store_key({"run": 1})
+        cache.put(key, {"cycles": 3.0})
+        assert cache.peek(key) == {"cycles": 3.0}
+        # A plain ContentStore has no memo: its get is a disk read.
+        plain = ContentStore(tmp_path)
+        assert not hasattr(plain, "_mem")
+        os.unlink(plain._path(key))
+        assert plain.get(key) is None
+        assert cache.get(key) == {"cycles": 3.0}   # memo until gc
 
 
 class TestCacheGCCLI:

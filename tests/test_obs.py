@@ -469,6 +469,27 @@ class TestServerObservability:
             assert status == 404
         serve_scenario(scenario)(tmp_path)
 
+    def test_queue_span_covers_the_wait_for_the_worker(self,
+                                                        tmp_path):
+        """With one worker, a job submitted while another runs waits
+        in the pool's queue: its ``queue`` span covers the first
+        job's sleep, and its ``worker`` span only its own."""
+        async def scenario(server):
+            first = asyncio.ensure_future(roundtrip(
+                server, {"kind": "sleep", "seconds": 1.0}))
+            await asyncio.sleep(0.2)    # first job holds the worker
+            status, body = await roundtrip(
+                server, {"kind": "sleep", "seconds": 0.2})
+            assert status == 200
+            assert (await first)[0] == 200
+            record = server.traces.get(body["request_id"])
+            spans = {s["name"]: s["dur_us"] / 1e3
+                     for s in record["job"]["spans"]}
+            return spans["queue"], spans["worker"]
+        queue_ms, worker_ms = serve_scenario(scenario)(tmp_path)
+        assert queue_ms >= 700          # the first job's remaining 0.8 s
+        assert 200 <= worker_ms < 700   # its own 0.2 s sleep only
+
     def test_prometheus_exposition_over_http(self, tmp_path):
         async def scenario(server):
             status, _ = await roundtrip(

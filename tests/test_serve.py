@@ -287,6 +287,67 @@ class TestServerBasics:
                 canonical(first["result"])
         serve_scenario(scenario)(tmp_path)
 
+    def test_memo_hit_never_reads_the_store(self, tmp_path):
+        """A repeated request is answered from the store's memo on the
+        event loop: ``store.get`` (the disk path) is never called, and
+        the result is byte-identical to the first answer."""
+        async def scenario(server):
+            request = {"workload": "is", "small": True,
+                       "variant": "plain"}
+            status, first = await roundtrip(server, request)
+            assert status == 200 and first["cached"] is False
+
+            def no_disk(key):
+                raise AssertionError("memo hit read the disk store")
+            server.store.get = no_disk
+            status, second = await roundtrip(server, request)
+            assert status == 200 and second["cached"] is True
+            assert json.dumps(second["result"]) == \
+                json.dumps(first["result"])
+            status, stored = await roundtrip(
+                server, None, "GET", f"/v1/store/{first['key']}")
+            assert status == 200
+            assert json.dumps(stored["result"]) == \
+                json.dumps(first["result"])
+
+            def probe_args(body):
+                record = server.traces.get(body["request_id"])
+                (probe,) = [s for s in record["server_spans"]
+                            if s["name"] == "probe"]
+                return probe["args"]
+            assert probe_args(first) == {"hit": False, "layer": "disk"}
+            assert probe_args(second) == {"hit": True,
+                                          "layer": "memory"}
+        serve_scenario(scenario)(tmp_path)
+
+    def test_disk_hit_after_restart(self, tmp_path):
+        """A fresh server over an existing store answers from disk
+        once, then from its memo."""
+        request = {"workload": "is", "small": True, "variant": "plain"}
+
+        async def first(server):
+            status, body = await roundtrip(server, request)
+            assert status == 200
+            return body
+
+        async def second(server):
+            bodies = [(await roundtrip(server, request))[1]
+                      for _ in range(2)]
+            layers = []
+            for body in bodies:
+                assert body["cached"] is True
+                record = server.traces.get(body["request_id"])
+                layers += [s["args"]["layer"]
+                           for s in record["server_spans"]
+                           if s["name"] == "probe"]
+            assert layers == ["disk", "memory"]
+            return bodies[0]
+
+        fresh = serve_scenario(first)(tmp_path)
+        cached = serve_scenario(second)(tmp_path)
+        assert json.dumps(cached["result"]) == \
+            json.dumps(fresh["result"])
+
     def test_store_rejects_non_content_keys(self, tmp_path):
         """GET /v1/store/<key> takes the key verbatim from the URL —
         anything but a full sha256 hexdigest (traversal attempts

@@ -13,7 +13,11 @@ properties:
    ``repro bench`` computes;
 2. **Sharing**: the duplicate mix must produce coalesce hits and CAS
    hits (> 0 each) — many clients, one simulation substrate;
-3. **Latency**: p50/p95/p99 request latency is measured and archived.
+3. **Latency**: p50/p95/p99 request latency is measured and archived,
+   and so is each server stage's latency: exact nearest-rank
+   percentiles over every answered request's trace record
+   (``GET /v1/trace/<id>``), not the metrics histograms'
+   bucket-interpolated quantiles.
 
 Writes ``BENCH_serve_throughput.json`` (schema
 ``repro-serve-bench-v1``) and exits non-zero on any mismatch, transport
@@ -35,6 +39,7 @@ import json
 import os
 import platform
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -43,7 +48,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs.metrics import nearest_rank  # noqa: E402
+from repro.obs.trace import worker_stage_ms  # noqa: E402
 from repro.serve.client import AsyncClient, get_metrics  # noqa: E402
+from repro.serve.server import STAGES  # noqa: E402
+
+#: Request-trace process ids (repro.telemetry.perfetto): server spans
+#: on pid 1 — the waiter's own on tid 1, the shared job's on tid 2 —
+#: and the pool worker's spans on pid 2.
+_SERVER_PID, _WORKER_PID = 1, 2
+_JOB_TID = 2
+#: Connections used to fetch the trace records after the burst.
+_TRACE_FETCHERS = 4
 
 
 def canonical(value) -> str:
@@ -113,6 +128,8 @@ async def run_load(host: str, port: int, uniques: list[dict],
     errors: list[str] = []
     statuses: dict[str, int] = {}
 
+    request_ids: list[str] = []
+
     async def one(index: int, which: int) -> None:
         async with semaphore:
             client = AsyncClient(host, port)
@@ -131,6 +148,7 @@ async def run_load(host: str, port: int, uniques: list[dict],
                 errors.append(f"request {index}: HTTP {status}: "
                               f"{body.get('error', body)}")
                 return
+            request_ids.append(body["request_id"])
             got = canonical(body.get("result"))
             if got != expected[which]:
                 mismatches.append(
@@ -142,7 +160,74 @@ async def run_load(host: str, port: int, uniques: list[dict],
                            for i, which in enumerate(schedule)))
     wall_s = time.perf_counter() - start
     return {"latencies": latencies, "mismatches": mismatches,
-            "errors": errors, "statuses": statuses, "wall_s": wall_s}
+            "errors": errors, "statuses": statuses, "wall_s": wall_s,
+            "request_ids": request_ids}
+
+
+async def fetch_traces(host: str, port: int,
+                       request_ids: list[str]) -> list[dict]:
+    """The trace document of every request still in the server's trace
+    buffer (a request that aged out answers 404 and is skipped)."""
+    docs: list[dict] = []
+
+    async def fetch(share: list[str]) -> None:
+        client = AsyncClient(host, port)
+        try:
+            for request_id in share:
+                status, doc = await client.request(
+                    "GET", f"/v1/trace/{request_id}")
+                if status == 200:
+                    docs.append(doc)
+        finally:
+            await client.close()
+
+    await asyncio.gather(*(fetch(request_ids[i::_TRACE_FETCHERS])
+                           for i in range(_TRACE_FETCHERS)))
+    return docs
+
+
+def stage_samples(docs: list[dict]) -> dict[str, list[float]]:
+    """Per-stage durations (ms) from request trace documents.
+
+    A request's own stages (admission, probe) count once per request;
+    the job stages (queue, worker, store, and the worker's compile and
+    simulate) count once per job, because coalesced waiters embed the
+    same shared job section in their records."""
+    samples: dict[str, list[float]] = {}
+    seen_jobs: set = set()
+    for doc in docs:
+        job_id = doc.get("otherData", {}).get("job_request_id")
+        new_job = job_id is not None and job_id not in seen_jobs
+        seen_jobs.add(job_id)
+        stages: dict[str, float] = {}
+        worker_spans = []
+        for event in doc.get("traceEvents", []):
+            if event.get("ph") != "X":
+                continue
+            if event["pid"] == _WORKER_PID:
+                worker_spans.append({"type": "span", "name": event["name"],
+                                     "dur_us": event["dur"]})
+            elif event["name"] in STAGES and (
+                    new_job or event.get("tid") != _JOB_TID):
+                stages[event["name"]] = (stages.get(event["name"], 0.0)
+                                         + event["dur"] / 1e3)
+        if new_job:
+            stages.update(worker_stage_ms(worker_spans))
+        for stage, ms in stages.items():
+            samples.setdefault(stage, []).append(ms)
+    return samples
+
+
+def stage_rows(samples: dict[str, list[float]]) -> dict[str, dict]:
+    """Exact nearest-rank p50/p99/max per stage."""
+    rows = {}
+    for stage in sorted(samples):
+        ordered = sorted(samples[stage])
+        rows[stage] = {"count": len(ordered),
+                       "p50": round(nearest_rank(ordered, 50), 3),
+                       "p99": round(nearest_rank(ordered, 99), 3),
+                       "max": round(ordered[-1], 3)}
+    return rows
 
 
 def percentile(ordered: list[float], pct: float) -> float:
@@ -163,10 +248,11 @@ def git_sha() -> str:
         return "unknown"
 
 
-def spawn_server(workers: int | None, store_dir: str) -> tuple:
+def spawn_server(workers: int | None, store_dir: str,
+                 trace_buffer: int) -> tuple:
     """Start ``repro serve`` on a free port; returns (proc, host, port)."""
     cmd = [sys.executable, "-m", "repro", "serve", "--port", "0",
-           "--cache-dir", store_dir]
+           "--cache-dir", store_dir, "--trace-buffer", str(trace_buffer)]
     if workers:
         cmd += ["--workers", str(workers)]
     env = dict(os.environ)
@@ -220,17 +306,23 @@ def main() -> int:
     if args.spawn:
         import tempfile
         store_dir = tempfile.mkdtemp(prefix="repro-serve-cas-")
-        proc, host, port = spawn_server(args.workers, store_dir)
+        # The trace buffer must hold every request of the burst for
+        # the per-request stage percentiles.
+        proc, host, port = spawn_server(args.workers, store_dir,
+                                        max(256, args.requests))
         print(f"load_test: spawned repro serve on {host}:{port} "
               f"(store {store_dir})")
     try:
         measured = asyncio.run(run_load(host, port, uniques, schedule,
                                         expected, args.concurrency))
         metrics = get_metrics(host, port)
+        traces = asyncio.run(fetch_traces(host, port,
+                                          measured["request_ids"]))
     finally:
         if proc is not None:
             proc.terminate()
             proc.wait(timeout=10)
+            shutil.rmtree(store_dir, ignore_errors=True)
 
     ordered = sorted(measured["latencies"])
     ok = measured["statuses"].get("200", 0)
@@ -270,14 +362,11 @@ def main() -> int:
                 "max": round(ordered[-1], 3) if ordered else 0.0},
             "jobs_executed": metrics["jobs"]["executed"],
             "worker_restarts": metrics["workers"]["restarts"],
-            # Server-side per-stage p50/p99 from the labeled metrics
-            # registry (admission/probe/queue/worker/compile/simulate/
-            # store) — where a request's time actually went.
-            "stage_latency_ms": {
-                stage: {"count": row["count"], "p50": row["p50"],
-                        "p99": row["p99"], "max": row["max"]}
-                for stage, row in sorted(
-                    metrics.get("stages", {}).items())},
+            # Server-side per-stage nearest-rank p50/p99/max over the
+            # per-request trace records (admission/probe/queue/worker/
+            # compile/simulate/store) — where a request's time went.
+            "traces": len(traces),
+            "stage_latency_ms": stage_rows(stage_samples(traces)),
         },
     }
     with open(args.output, "w") as handle:
