@@ -100,7 +100,6 @@ class OutOfOrderCore:
         self.memory = memory
         self.issue_cost = 1.0 / config.issue_width
         self.fetch_time = 0.0
-        self.completion_max = 0.0
         # Ring buffer of retire times for ROB occupancy.
         self._rob = [0.0] * config.rob_size
         self._rob_head = 0
@@ -119,8 +118,6 @@ class OutOfOrderCore:
         self._last_retire = retire
         self._rob[self._rob_head] = retire
         self._rob_head = (self._rob_head + 1) % len(self._rob)
-        if completion > self.completion_max:
-            self.completion_max = completion
 
     def op(self, dep_ready: float, opcode: str = "") -> float:
         """Issue an ALU op; returns result-ready time."""

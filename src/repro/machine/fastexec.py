@@ -11,8 +11,8 @@ arithmetic are baked into the source text, the closure is
 closure entry and written back at closure exit — one core interaction
 per closure instead of one method call per instruction.  Common 64-bit
 integer wrap-around arithmetic, comparisons and casts are emitted as
-inline expressions (no closure call), and the memory system's hot-line
-hit path (see :class:`~repro.machine.system.MemorySystem`) is inlined
+inline expressions (no closure call), and the memory system's L1-hit
+path (see :class:`~repro.machine.system.MemorySystem`) is inlined
 with the full-walk call as the fallback.
 
 Two closure shapes exist:
@@ -69,13 +69,13 @@ or mutate the address space layout); they split a block into several
 segments and stay on the dispatch path.
 
 Set ``REPRO_SIM_FASTPATH=0`` to disable fusion (and the memory-system
-hot-line memo) and force the reference slow path everywhere.
+fast-path walks) and force the reference slow path everywhere.
 
 Telemetry interaction (``REPRO_SIM_TELEMETRY=1``): attaching a
 :class:`~repro.telemetry.TelemetryCollector` clears the memory system's
 ``fastpath`` flag, so the emitter sees ``ms.fastpath`` false and emits
 plain ``_ms_load``/``_ms_store``/``_ms_prefetch`` calls instead of the
-inlined hot-line hit path — every memory operation then takes the
+inlined L1-hit path — every memory operation then takes the
 instrumented reference walk while ALU fusion stays on.  With telemetry
 off (the default) nothing here changes: the generated code replays the
 same arithmetic it did before telemetry existed, so the fast path pays
@@ -212,7 +212,7 @@ class _Emitter:
 
     One instance accumulates source lines (:attr:`body`) and runtime
     bindings (:attr:`env`) for a single generated closure.  All timing
-    arithmetic (issue/retire, hot-line probe, blocking thresholds) is
+    arithmetic (issue/retire, L1-hit probe, blocking thresholds) is
     the transcription of the core and memory-system models documented
     in the module docstring.
     """
@@ -244,18 +244,18 @@ class _Emitter:
             env["_rob"] = core._rob
             self.nrob = len(core._rob)
         if ms.fastpath:
-            # Bindings for the inlined hot-line hit path.  All of these
+            # Bindings for the inlined L1-hit path.  All of these
             # objects are stable for the MemorySystem's lifetime (flush
             # clears them in place).
             l1 = ms.caches[0]
-            env.update(_hotget=ms._hot.get, _l1s=l1._sets,
+            env.update(_l1s=l1._sets,
                        _tp=ms.tlb._pages,
                        _mst=ms.stats, _tst=ms.tlb.stats,
                        _l1st=l1.stats, _pf=ms.prefetcher,
                        _observe=ms.prefetcher.observe,
                        _hwfill=ms._issue_hw_fills,
                        _ms_demand=ms._demand_fast,
-                       _ms_pfmiss=ms._prefetch_miss_fast)
+                       _ms_pfmiss=ms._prefetch_fast)
             # Per-level L1-below set arrays for inlined dirty marking.
             self.dirty = []
             for i, c in enumerate(ms.caches[1:]):
@@ -295,7 +295,6 @@ class _Emitter:
             self.out("head = _core._rob_head")
             self.out("ft = _core.fetch_time")
             self.out("lr = _core._last_retire")
-            self.out("cm = _core.completion_max")
 
     def core_epilogue(self) -> None:
         """Write the locals back to the core."""
@@ -305,7 +304,6 @@ class _Emitter:
             self.out("_core._rob_head = head")
             self.out("_core.fetch_time = ft")
             self.out("_core._last_retire = lr")
-            self.out("_core.completion_max = cm")
 
     def ooo_retire(self, done: str) -> None:
         emit = self.out
@@ -313,7 +311,6 @@ class _Emitter:
         emit("_rob[head] = lr")
         emit("head += 1")
         emit(f"if head == {self.nrob}: head = 0")
-        emit(f"if {done} > cm: cm = {done}")
 
     def issue_and(self, specs) -> None:
         """Issue time for one op into ``issue``: the core clock advance
@@ -384,14 +381,16 @@ class _Emitter:
         emit("if _r:")
         emit(f"    raise _MF('misaligned {op_name} at %#x' % addr)")
 
-    def hot_probe(self) -> str:
-        """Guard expression: line resident in L1 + page in L1 TLB."""
+    def l1_probe(self, fill_check: bool) -> None:
+        """``if`` line resident in its L1 set (its fill complete, with
+        ``fill_check``) and page in the L1 TLB; leaves ``lines`` and
+        ``entry`` bound."""
         hot = self.hot
-        return (f"entry is not None and entry[0] <= issue and "
-                f"(lines := _l1s[{hot['set']}]).get(line) is entry "
-                f"and {hot['page']} in _tp")
+        self.out(f"entry = (lines := _l1s[{hot['set']}]).get(line)")
+        ready = " and entry[0] <= issue" if fill_check else ""
+        self.out(f"if entry is not None{ready} and {hot['page']} in _tp:")
 
-    def hot_touch(self) -> None:
+    def l1_touch(self) -> None:
         """LRU touches + hit counters of the replayed L1/TLB hit."""
         emit = self.out
         emit("    del _tp[page]")
@@ -417,10 +416,9 @@ class _Emitter:
             emit(f"rdy = {ms_call}({pc}, addr, issue)")
             return
         emit(f"line = {hot['line']}")
-        emit("entry = _hotget(line)")
-        emit(f"if {self.hot_probe()}:")
+        self.l1_probe(fill_check=True)
         emit("    _mst.demand_accesses += 1")
-        self.hot_touch()
+        self.l1_touch()
         emit("    _l1st.hits += 1")
         if is_write:
             emit("    entry[1] = True")
@@ -431,8 +429,6 @@ class _Emitter:
         self.train(pc, "    ")
         emit(f"    rdy = issue + {hot['lat']}")
         emit("else:")
-        # The guard above replicates load()/store()'s own memo probe, so
-        # on failure go straight to the inlined miss walk.
         emit(f"    rdy = _ms_demand({pc}, addr, issue, {is_write})")
 
     # -- one fusable instruction ---------------------------------------
@@ -531,16 +527,12 @@ class _Emitter:
                 if hot is None:
                     emit(f"acc = _ms_prefetch({pc}, addr, issue)")
                 else:
-                    # Replay of MemorySystem.prefetch's fast path: an
-                    # L1-resident line never waits, so no fill check.
+                    # An L1-resident line never waits, so no fill
+                    # check (the walk would return ``issue`` too).
                     emit(f"line = {hot['line']}")
-                    emit("entry = _hotget(line)")
-                    emit("if entry is not None and "
-                         f"(lines := _l1s[{hot['set']}]).get(line)"
-                         " is entry and "
-                         f"{hot['page']} in _tp:")
+                    self.l1_probe(fill_check=False)
                     emit("    _mst.sw_prefetches += 1")
-                    self.hot_touch()
+                    self.l1_touch()
                     emit("    acc = issue")
                     emit("else:")
                     emit(f"    acc = _ms_pfmiss({pc}, addr, line, issue)")
@@ -637,4 +629,7 @@ def _compile(ops: list, mode: str, bind: dict, term: tuple | None = None,
         code = compile(src, "<fused-segment>", "exec")
         _CODE_CACHE[src] = code
     exec(code, env)
-    return env[name]
+    # Popped, not read: left in ``env`` (its own globals) the closure
+    # would sit in a reference cycle, keeping the run's core, memory
+    # system and memory alive until a full garbage collection.
+    return env.pop(name)

@@ -342,8 +342,9 @@ class Interpreter:
     :param machine: a :class:`MachineConfig` for timed execution, or
         ``None`` for functional execution.
     :param dram: optionally a shared DRAM channel (multicore runs).
-    :param fastpath: enable fused-block execution and the memory-system
-        hot-line memo (``None`` = follow ``REPRO_SIM_FASTPATH``).
+    :param fastpath: enable fused-block execution and the memory
+        system's fast-path walks (``None`` = follow
+        ``REPRO_SIM_FASTPATH``).
     :param telemetry: a :class:`~repro.telemetry.TelemetryCollector`,
         ``True``/``False`` to force telemetry on/off, or ``None`` to
         follow ``REPRO_SIM_TELEMETRY``.  Telemetry needs a machine model

@@ -24,10 +24,6 @@ from .tlb import TLB
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.collector import TelemetryCollector
 
-#: Hot-line memo entries are dropped wholesale past this size so the
-#: memo cannot outgrow the simulated working set it shadows.
-_HOT_LIMIT = 1 << 20
-
 
 @dataclass
 class MemoryStats:
@@ -71,24 +67,24 @@ class MemorySystem:
     :param config: machine description.
     :param dram: optionally a shared channel (multicore); a private one is
         created otherwise.
-    :param fastpath: enable the hot-line memo (``None`` = follow
-        ``REPRO_SIM_FASTPATH``).
+    :param fastpath: enable the inlined fast-path walks (``None`` =
+        follow ``REPRO_SIM_FASTPATH``).
     :param telemetry: a :class:`~repro.telemetry.TelemetryCollector` to
-        observe this hierarchy.  Attaching one disables the hot-line
-        memo so every access takes the instrumented reference walk —
-        cycle counts are unchanged (the walks are bit-identical; the
-        hooks are pure observation), only wall-clock speed drops.
+        observe this hierarchy.  Attaching one disables the fast path
+        so every access takes the instrumented reference walk — cycle
+        counts are unchanged (the walks are bit-identical; the hooks
+        are pure observation), only wall-clock speed drops.
 
-    The **hot-line memo** is the demand-path fast path: ``_hot`` maps a
-    line address to the ``[fill_time, dirty]`` entry list the L1 held
-    for it when it was last resolved.  A later access to the same line
-    takes the fast path only when (a) the L1 set still holds *that very
-    list object* — :meth:`Cache.insert` always installs a fresh list, so
-    identity proves the line was neither evicted nor refilled since —
-    (b) the fill has completed, and (c) the page is still in the L1 TLB.
-    The fast path then replays exactly the side effects the full walk
-    would have had (LRU touches, hit counters, dirty marking, prefetcher
-    training), keeping cycle counts bit-identical to the slow path.
+    The **fast path** sends every access through ``_demand_fast`` /
+    ``_prefetch_fast``, hand-inlined copies of the reference walks.
+    The fused tier (:mod:`repro.machine.fastexec`) additionally inlines
+    the commonest case into its generated code: the line's
+    ``[fill_time, dirty]`` entry is in its L1 set, the fill has
+    completed (demand accesses only; a prefetch hit never waits) and
+    the page is in the L1 TLB.  The full walk would stop at level 0
+    then, so the inlined hit replays exactly its side effects (LRU
+    touches, hit counters, dirty marking, prefetcher training) and
+    cycle counts stay bit-identical to the slow path.
     """
 
     def __init__(self, config: MachineConfig,
@@ -116,8 +112,6 @@ class MemorySystem:
         self.telemetry = telemetry
         self.fastpath = (fastpath_enabled(fastpath)
                          and telemetry is None)
-        self._hot: dict[int, list] = {}
-        self._l1 = self.caches[0]
         self._page_bits = self.tlb.page_bits
         self._tlb_pages = self.tlb._pages  # cleared in place by flush()
 
@@ -126,15 +120,6 @@ class MemorySystem:
     def load(self, pc: int, addr: int, time: float) -> float:
         """Demand load; returns data-ready time."""
         if self.fastpath:
-            line = addr // self.line_size
-            entry = self._hot.get(line)
-            if entry is not None and entry[0] <= time:
-                l1 = self._l1
-                lines = l1._sets[line % l1.num_sets]
-                if lines.get(line) is entry and \
-                        (addr >> self._page_bits) in self._tlb_pages:
-                    return self._fast_hit(pc, addr, line, time, lines,
-                                          entry, False)
             return self._demand_fast(pc, addr, time, False)
         return self._demand(pc, addr, time, is_write=False)
 
@@ -143,40 +128,8 @@ class MemorySystem:
         stores as fire-and-forget through a store buffer; dirty lines
         cost a DRAM writeback when they eventually leave the hierarchy."""
         if self.fastpath:
-            line = addr // self.line_size
-            entry = self._hot.get(line)
-            if entry is not None and entry[0] <= time:
-                l1 = self._l1
-                lines = l1._sets[line % l1.num_sets]
-                if lines.get(line) is entry and \
-                        (addr >> self._page_bits) in self._tlb_pages:
-                    return self._fast_hit(pc, addr, line, time, lines,
-                                          entry, True)
             return self._demand_fast(pc, addr, time, True)
         return self._demand(pc, addr, time, is_write=True)
-
-    def _fast_hit(self, pc: int, addr: int, line: int, time: float,
-                  lines: dict, entry: list, is_write: bool) -> float:
-        """Replay a guaranteed L1-line + L1-TLB hit without the walk."""
-        self.stats.demand_accesses += 1
-        tlb = self.tlb
-        pages = self._tlb_pages
-        page = addr >> self._page_bits
-        del pages[page]
-        pages[page] = None
-        tlb.stats.hits += 1
-        del lines[line]
-        lines[line] = entry
-        l1 = self._l1
-        l1.stats.hits += 1
-        if is_write:
-            entry[1] = True
-            for c in self.caches[1:]:
-                ce = c._sets[line % c.num_sets].get(line)
-                if ce is not None:
-                    ce[1] = True
-        self._train_hw_prefetcher(pc, line, time)
-        return time + l1.latency
 
     def prefetch(self, pc: int, addr: int, time: float) -> float:
         """Software prefetch; returns the *issue-accept* time (the core
@@ -189,25 +142,7 @@ class MemorySystem:
         """
         line = addr // self.line_size
         if self.fastpath:
-            # Fast path: the line is provably still in the L1 and the
-            # page in the L1 TLB, so the slow path would hit at level 0
-            # and return ``time`` untouched (no fill-time check needed:
-            # a prefetch hit never waits).  Replay the touches/counters.
-            entry = self._hot.get(line)
-            if entry is not None:
-                l1 = self._l1
-                lines = l1._sets[line % l1.num_sets]
-                page = addr >> self._page_bits
-                if lines.get(line) is entry and page in self._tlb_pages:
-                    self.stats.sw_prefetches += 1
-                    pages = self._tlb_pages
-                    del pages[page]
-                    pages[page] = None
-                    self.tlb.stats.hits += 1
-                    del lines[line]
-                    lines[line] = entry
-                    return time
-            return self._prefetch_miss_fast(pc, addr, line, time)
+            return self._prefetch_fast(pc, addr, line, time)
         tel = self.telemetry
         self.stats.sw_prefetches += 1
         t = self.tlb.translate(addr, time)  # prefetches do fill the TLB
@@ -219,7 +154,6 @@ class MemorySystem:
                 for upper in self.caches[:level]:
                     upper.insert(line, ready)
                     upper.stats.prefetch_fills += 1
-                self._memoize(line)
                 if tel is not None:
                     tel.prefetch_redundant(pc, line, time, cache.name)
                 return time
@@ -230,7 +164,6 @@ class MemorySystem:
         self.stats.sw_prefetch_dram_fills += 1
         self._fill_all(line, done, request_time=start)
         self.caches[0].stats.prefetch_fills += 1
-        self._memoize(line)
         # The core resumes once the request is accepted (MSHR acquired);
         # translation latency itself is off the critical path.
         accepted = max(time, start - (t - time))
@@ -242,26 +175,13 @@ class MemorySystem:
                 tel.prefetch_issued(pc, line, time, done)
         return accepted
 
-    def _memoize(self, line: int) -> None:
-        """Record the L1's current entry list for ``line`` (which every
-        demand access and prefetch leaves resident in the L1)."""
-        if not self.fastpath:
-            return
-        hot = self._hot
-        if len(hot) > _HOT_LIMIT:
-            hot.clear()
-        l1 = self._l1
-        entry = l1._sets[line % l1.num_sets].get(line)
-        if entry is not None:
-            hot[line] = entry
-
     # -- inlined fast-path walks --------------------------------------------
     #
-    # ``_demand_fast`` / ``_prefetch_miss_fast`` are hand-inlined copies of
+    # ``_demand_fast`` / ``_prefetch_fast`` are hand-inlined copies of
     # ``_demand`` / the ``prefetch`` slow path: they perform *exactly* the
     # same state mutations in the same order (TLB probe, per-level lookup
     # touches and counters, MSHR heap, DRAM channel, per-level fills with
-    # eviction/writeback charging, prefetcher training, hot-line memo) but
+    # eviction/writeback charging, prefetcher training) but
     # collapse ~a dozen method calls and attribute chases into one frame.
     # Any behavioural change here is a bug; the property tests compare the
     # two engines stat-for-stat.
@@ -281,7 +201,6 @@ class MemorySystem:
         else:
             t = self.tlb._miss(page, time)
         caches = self.caches
-        l1_entry = None
         for level, cache in enumerate(caches):
             lines = cache._sets[line % cache.num_sets]
             entry = lines.get(line)
@@ -313,8 +232,6 @@ class MemorySystem:
                             if de:
                                 cst.dirty_evictions += 1
                         cl[line] = [ready, False]
-                else:
-                    l1_entry = entry
                 if is_write:
                     for c in caches:
                         ce = c._sets[line % c.num_sets].get(line)
@@ -361,26 +278,16 @@ class MemorySystem:
                             d._next_free = ws + cpl
                             dst.writebacks += 1
                             dst.busy_cycles += cpl
-                new = [done, is_write]
-                cl[line] = new
-                if l1_entry is None:
-                    l1_entry = new
+                cl[line] = [done, is_write]
             ready = done
         pf = self.prefetcher
         if line != pf._last_line:
             fills = pf.observe(pc, line)
             if fills:
                 self._issue_hw_fills(fills, t)
-        hot = self._hot
-        if len(hot) > _HOT_LIMIT:
-            hot.clear()
-        if l1_entry is None:
-            l1 = caches[0]
-            l1_entry = l1._sets[line % l1.num_sets].get(line)
-        hot[line] = l1_entry
         return ready
 
-    def _prefetch_miss_fast(self, pc: int, addr: int, line: int,
+    def _prefetch_fast(self, pc: int, addr: int, line: int,
                             time: float) -> float:
         self.stats.sw_prefetches += 1
         page = addr >> self._page_bits
@@ -393,7 +300,6 @@ class MemorySystem:
         else:
             t = self.tlb._miss(page, time)
         caches = self.caches
-        hot = self._hot
         for level, cache in enumerate(caches):
             lines = cache._sets[line % cache.num_sets]
             entry = lines.get(line)
@@ -405,7 +311,6 @@ class MemorySystem:
                     ready = (t if fill <= t else fill) + cache.latency
                     # Inlined Cache.insert: the walk proved the line
                     # absent above ``level`` (evict-if-full + install).
-                    l1 = caches[0]
                     for upper in caches[:level]:
                         cl = upper._sets[line % upper.num_sets]
                         if len(cl) >= upper.ways:
@@ -416,14 +321,8 @@ class MemorySystem:
                             cst.evictions += 1
                             if de:
                                 cst.dirty_evictions += 1
-                        new = [ready, False]
-                        cl[line] = new
+                        cl[line] = [ready, False]
                         upper.stats.prefetch_fills += 1
-                        if upper is l1:
-                            entry = new
-                if len(hot) > _HOT_LIMIT:
-                    hot.clear()
-                hot[line] = entry
                 return time
         # Miss everywhere (no per-level miss counters on prefetch walks).
         mshrs = self.mshrs
@@ -444,7 +343,6 @@ class MemorySystem:
         heappush(heap, done)
         self.stats.sw_prefetch_dram_fills += 1
         llc = caches[-1]
-        l1_entry = None
         for cache in caches:
             cl = cache._sets[line % cache.num_sets]
             if len(cl) >= cache.ways:
@@ -461,14 +359,8 @@ class MemorySystem:
                         d._next_free = ws + cpl
                         dst.writebacks += 1
                         dst.busy_cycles += cpl
-            new = [done, False]
-            cl[line] = new
-            if l1_entry is None:
-                l1_entry = new
+            cl[line] = [done, False]
         caches[0].stats.prefetch_fills += 1
-        if len(hot) > _HOT_LIMIT:
-            hot.clear()
-        hot[line] = l1_entry
         return max(time, start - (t - time))
 
     # -- internals ----------------------------------------------------------
@@ -482,7 +374,6 @@ class MemorySystem:
             self.telemetry.account_translation(t - time)
         ready = self._hierarchy_access(line, t, is_write)
         self._train_hw_prefetcher(pc, line, t)
-        self._memoize(line)
         return ready
 
     def _hierarchy_access(self, line: int, t: float,
@@ -576,7 +467,6 @@ class MemorySystem:
             cache.invalidate_all()
         self.tlb.flush()
         self.prefetcher.reset()
-        self._hot.clear()
 
     def mshr_occupancy(self, time: float) -> int:
         """Outstanding line fills still in flight at ``time``.

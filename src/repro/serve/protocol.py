@@ -32,7 +32,12 @@ identical requests — regardless of field order or omitted defaults —
 share one simulation and one stored result.  Everything that can alter
 the stored payload participates in the key, including ``include`` (a
 telemetry-free result must never satisfy a telemetry-requesting
-client), mirroring :func:`repro.bench.cache.run_key`.
+client).  Build inputs the run does *not* read are fixed at their
+defaults instead: ``lookahead``/``options`` per
+:data:`repro.workloads.base.VARIANT_INPUTS` for ``simulate``, and both
+for a ``compile`` without ``prefetch``.  So, like the bench run cache
+(:func:`repro.bench.cache.run_key` hashes the built IR), a plain
+request shares one result across every look-ahead it may carry.
 
 :func:`execute_request` is the worker-process side: it performs the
 actual compile/simulate with the requested observability attached and
@@ -58,6 +63,7 @@ MACHINES = ("Haswell", "A57", "A53", "Xeon Phi")
 
 #: Guard rails on numeric request fields.
 MAX_LOOKAHEAD = 1 << 16
+DEFAULT_LOOKAHEAD = 64
 MAX_SLEEP_S = 60.0
 
 #: Execution-tier gates set in the worker for one request.  ``auto``
@@ -142,11 +148,22 @@ def _canon_options(raw) -> dict:
             "hoist": _field(options, "hoist", bool, False)}
 
 
+def _fix_unread(norm: dict, reads) -> None:
+    """Set each build input outside ``reads`` to its default, so a
+    value the run never reads cannot split the key."""
+    if "lookahead" not in reads:
+        norm["lookahead"] = DEFAULT_LOOKAHEAD
+    if "options" not in reads:
+        norm["options"] = _canon_options({})
+
+
 def normalize_request(raw: dict, debug: bool = False) -> dict:
     """Validate ``raw`` and return its canonical form.
 
     Raises :class:`RequestError` on any schema violation.  ``debug``
-    admits the ``sleep`` kind (test servers only).
+    admits the ``sleep`` kind (test servers only).  Every field is
+    validated as sent before unread build inputs are defaulted, so
+    ``{"variant": "plain", "lookahead": 0}`` is still rejected.
     """
     if not isinstance(raw, dict):
         raise RequestError("request body must be a JSON object")
@@ -157,7 +174,7 @@ def normalize_request(raw: dict, debug: bool = False) -> dict:
             f"{SCHEMA_REQUEST}")
     kind = _choice(raw, "kind", KINDS, "simulate")
     norm: dict = {"schema": SCHEMA_REQUEST, "kind": kind}
-    lookahead = _field(raw, "lookahead", int, 64)
+    lookahead = _field(raw, "lookahead", int, DEFAULT_LOOKAHEAD)
     if not 1 <= lookahead <= MAX_LOOKAHEAD:
         raise RequestError(
             f"field 'lookahead' must be in [1, {MAX_LOOKAHEAD}], "
@@ -172,6 +189,8 @@ def normalize_request(raw: dict, debug: bool = False) -> dict:
         norm["validate"] = _field(raw, "validate", bool, True)
         norm["tier"] = _choice(raw, "tier", TIERS, "auto")
         norm["include"] = _canon_include(raw)
+        from ..workloads.base import VARIANT_INPUTS
+        _fix_unread(norm, VARIANT_INPUTS[norm["variant"]])
     elif kind == "compile":
         source = raw.get("source")
         if not isinstance(source, str) or not source.strip():
@@ -183,6 +202,8 @@ def normalize_request(raw: dict, debug: bool = False) -> dict:
         norm["lookahead"] = lookahead
         norm["options"] = _canon_options(raw)
         norm["include"] = _canon_include(raw)
+        if not norm["prefetch"]:  # only the prefetch pass reads them
+            _fix_unread(norm, ())
     else:  # sleep
         if not debug:
             raise RequestError(
@@ -202,8 +223,8 @@ def normalize_request(raw: dict, debug: bool = False) -> dict:
 def request_key(norm: dict) -> str:
     """CAS / coalescing key of a canonical request.
 
-    Folds in the simulator code hash, so — exactly like the bench
-    run-cache — any engine change invalidates every stored result.
+    Folds in the simulator code hash, so — like the bench run cache —
+    any engine change invalidates every stored result.
     """
     from ..bench.cache import simulator_code_hash
     return store_key({"code": simulator_code_hash(), "request": norm})
@@ -237,22 +258,27 @@ class _TierEnv:
         return False
 
 
+def _prefetch_options(norm: dict):
+    """The prefetch pass options a request's build inputs describe."""
+    from ..passes.prefetch import PrefetchOptions
+    return PrefetchOptions(
+        lookahead=norm["lookahead"],
+        emit_stride_prefetch=norm["options"]["stride"],
+        enable_hoisting=norm["options"]["hoist"])
+
+
 def _execute_simulate(norm: dict, include: list[str]) -> dict:
     from ..bench.runner import run_variant
     from ..machine.configs import system_by_name
-    from ..passes.prefetch import PrefetchOptions
     from ..workloads import workload_by_name
 
     workload = workload_by_name(norm["workload"], small=norm["small"])
     machine = system_by_name(norm["machine"])
-    options = PrefetchOptions(
-        lookahead=norm["lookahead"],
-        emit_stride_prefetch=norm["options"]["stride"],
-        enable_hoisting=norm["options"]["hoist"])
     with _TierEnv(norm["tier"]):
         result = run_variant(
             workload, norm["variant"], machine,
-            lookahead=norm["lookahead"], options=options,
+            lookahead=norm["lookahead"],
+            options=_prefetch_options(norm),
             validate=norm["validate"], cache=False,
             telemetry="telemetry" in include,
             timeline="timeline" in include)
@@ -265,16 +291,12 @@ def _execute_compile(norm: dict) -> dict:
     from ..passes import (CommonSubexpressionEliminationPass,
                           DeadCodeEliminationPass, IndirectPrefetchPass,
                           LoopInvariantCodeMotionPass, PassManager,
-                          PrefetchOptions, SimplifyCFGPass)
+                          SimplifyCFGPass)
 
     module = compile_source(norm["source"], name="<request>")
     out: dict = {}
     if norm["prefetch"]:
-        options = PrefetchOptions(
-            lookahead=norm["lookahead"],
-            emit_stride_prefetch=norm["options"]["stride"],
-            enable_hoisting=norm["options"]["hoist"])
-        report = IndirectPrefetchPass(options).run(module)
+        report = IndirectPrefetchPass(_prefetch_options(norm)).run(module)
         out["prefetch_report"] = report.summary()
     if norm["optimize"]:
         pipeline = PassManager()

@@ -5,15 +5,16 @@ Request lifecycle (``POST /v1/jobs``):
 1. **Parse + validate** — malformed JSON or schema violations answer
    400 without touching a worker.
 2. **CAS probe** — the canonical request hashes to a content key
-   (:func:`repro.serve.protocol.request_key`); a stored result answers
-   immediately (``cached: true``).  A result in the store's memo is
-   answered on the event loop; only a memo miss reads the disk, on an
-   I/O thread.
+   (:func:`repro.serve.protocol.request_key`); a result in the store's
+   memo answers on the event loop (``cached: true``).
 3. **Coalesce** — if an identical request is already in flight, the
    handler awaits the *same* future (``coalesced: true``): N clients
-   asking for one simulation cost one simulation.  The job is owned by
-   a detached task, so a client that disconnects mid-wait never cancels
-   the work the others are waiting on.
+   asking for one simulation cost one simulation.  Only a request with
+   no job in flight reads the disk (on an I/O thread; a disk hit also
+   answers ``cached: true``), and the in-flight table is checked again
+   after that read.  The job is owned by a detached task, so a client
+   that disconnects mid-wait never cancels the work the others are
+   waiting on.
 4. **Admit or shed** — at most ``queue_limit`` distinct jobs may be in
    flight; beyond that the server sheds load with 429 + ``Retry-After``
    instead of queueing unboundedly.
@@ -569,9 +570,12 @@ class Server:
         key = request_key(norm)
         storable = norm["kind"] != "sleep"
         if storable:
+            # Memo, then a job in flight (its answer is not on disk
+            # yet), then the disk; the in-flight table is read again
+            # below, after the disk probe's await.
             probe_start = spans.now_us()
             hit, layer = self.store.peek(key), "memory"
-            if hit is None:
+            if hit is None and key not in self._inflight:
                 layer = "disk"
                 hit = await self._store_io(self.store.get, key)
             spans.span("probe", probe_start,

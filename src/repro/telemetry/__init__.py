@@ -10,7 +10,7 @@ the paper's §6 analysis and Fig. 8 overhead discussion).
 Telemetry is **observational only**: attaching a collector never changes
 a single simulated cycle.  It is gated by ``REPRO_SIM_TELEMETRY`` (off
 by default) because classification needs the reference hierarchy walks;
-enabling it disables the memory system's hot-line memo for that run and
+enabling it disables the memory system's fast path for that run and
 routes every access through the instrumented slow path, which the
 equivalence suite proves bit-identical.
 

@@ -28,8 +28,20 @@ from ..machine.memory import Memory
 from ..passes.prefetch import IndirectPrefetchPass, PrefetchOptions
 from ..passes.stride_indirect_baseline import StrideIndirectBaselinePass
 
+#: The build inputs each variant reads, beyond the workload itself:
+#: exactly what :meth:`Workload.build_variant` consumes for it.  A
+#: result keyed on a variant's request may ignore every other input
+#: (``repro serve`` fixes unread fields at their defaults, so a plain
+#: request at any look-ahead shares one stored result).
+VARIANT_INPUTS = {
+    "plain": (),
+    "auto": ("lookahead", "options"),
+    "manual": ("lookahead",),
+    "icc": ("lookahead",),
+}
+
 #: The pass variants every experiment can request.
-VARIANTS = ("plain", "auto", "manual", "icc")
+VARIANTS = tuple(VARIANT_INPUTS)
 
 
 @dataclass
@@ -79,7 +91,11 @@ class Workload(ABC):
     def build_variant(self, variant: str, lookahead: int = 64,
                       options: PrefetchOptions | None = None,
                       **manual_knobs) -> Module:
-        """Materialise one of ``plain``/``auto``/``manual``/``icc``."""
+        """Materialise one of ``plain``/``auto``/``manual``/``icc``.
+
+        Reads only the inputs :data:`VARIANT_INPUTS` lists for
+        ``variant``; a change here must update that table.
+        """
         if variant == "plain":
             return self.build()
         if variant == "manual":

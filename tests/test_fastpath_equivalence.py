@@ -1,6 +1,6 @@
 """Fast-path vs slow-path engine equivalence.
 
-The fused-segment interpreter plus the memory-system hot-line memo
+The fused-block interpreter plus the memory system's fast-path walks
 (``REPRO_SIM_FASTPATH=1``, the default) must be *bit-identical* to the
 reference per-instruction engine: same cycles, same instruction
 counters, same cache/TLB/DRAM statistics, same memory contents.  These
@@ -438,6 +438,35 @@ class TestCodeCacheBound:
                 snaps.append((snapshot(interp), list(out.data)))
             assert snaps[0] == snaps[1]
             assert 0 < len(fastexec._CODE_CACHE) <= 4
+
+
+class TestRunStateFreedByRefcount:
+    @pytest.mark.parametrize("machine", (HASWELL, A53),
+                             ids=lambda m: m.name)
+    def test_memory_system_dies_without_gc(self, machine):
+        """A fused closure must not sit in a reference cycle (it would
+        keep the core, memory system and memory it binds alive until a
+        full collection): with the collector off, the memory system
+        dies as soon as the interpreter and its result are dropped."""
+        import gc
+        import weakref
+
+        mem = Memory(machine.line_size)
+        a = mem.allocate(8, 512, "a")
+        barr = mem.allocate(8, 512, "b")
+        out = mem.allocate(8, 512, "out")
+        gc.collect()
+        gc.disable()
+        try:
+            interp = Interpreter(build_random_kernel(0), mem,
+                                 machine=machine, fastpath=True)
+            result = interp.run("kernel",
+                                [a.base, barr.base, out.base, 512])
+            dead = weakref.ref(interp.memory_system)
+            del interp, result
+            assert dead() is None
+        finally:
+            gc.enable()
 
 
 class TestTelemetryEquivalence:

@@ -104,6 +104,12 @@ class TestNormalizeRequest:
         {"kind": "compile"},                       # missing source
         {"kind": "compile", "source": "   "},
         {"kind": "sleep", "seconds": 1},           # debug only
+        # Validated before an unread build input is defaulted:
+        {"workload": "is", "variant": "plain", "lookahead": 0},
+        {"workload": "is", "variant": "manual",
+         "options": {"unroll": True}},
+        {"kind": "compile", "source": "x", "prefetch": False,
+         "lookahead": -1},
     ])
     def test_rejects(self, raw):
         with pytest.raises(RequestError):
@@ -116,6 +122,69 @@ class TestNormalizeRequest:
         with pytest.raises(RequestError):
             normalize_request({"kind": "sleep", "seconds": 999},
                               debug=True)
+
+
+#: Two values of each build input a request may carry.
+INPUT_VALUES = {"lookahead": (8, 256),
+                "options": ({"stride": True, "hoist": False},
+                            {"stride": False, "hoist": True})}
+DEFAULT_INPUTS = {"lookahead": 64,
+                  "options": {"stride": True, "hoist": False}}
+
+SCATTER_SOURCE = """
+void kernel(long* restrict dst, long* restrict idx,
+            long* restrict src, long n) {
+    for (long i = 0; i < n; i++)
+        dst[idx[i]] += src[i];
+}
+"""
+
+
+class TestKeyHoldsOnlyWhatTheRunReads:
+    """Drift guard for ``VARIANT_INPUTS``: a build input shares the key
+    across its values exactly when the built IR ignores it.  If
+    ``build_variant`` (or the compile path) starts reading a field the
+    key drops, this fails instead of serving a stale result."""
+
+    def test_protocol_variants_follow_the_table(self):
+        from repro.serve import protocol
+        from repro.workloads.base import VARIANT_INPUTS, VARIANTS
+        assert protocol.VARIANTS == VARIANTS == tuple(VARIANT_INPUTS)
+
+    @pytest.mark.parametrize("field", sorted(INPUT_VALUES))
+    @pytest.mark.parametrize("variant", ["plain", "auto", "manual",
+                                         "icc"])
+    def test_simulate(self, variant, field):
+        from repro.ir import print_module
+        from repro.serve.protocol import _prefetch_options
+        from repro.workloads import workload_by_name
+
+        irs, keys = set(), set()
+        for value in INPUT_VALUES[field]:
+            inputs = dict(DEFAULT_INPUTS, **{field: value})
+            module = workload_by_name("is", small=True).build_variant(
+                variant, lookahead=inputs["lookahead"],
+                options=_prefetch_options(inputs))
+            irs.add(print_module(module))
+            keys.add(request_key(normalize_request(
+                dict(inputs, workload="is", small=True,
+                     variant=variant))))
+        assert len(keys) == len(irs)
+
+    @pytest.mark.parametrize("field", sorted(INPUT_VALUES))
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_compile(self, prefetch, field):
+        irs, keys = set(), set()
+        for value in INPUT_VALUES[field]:
+            request = dict(DEFAULT_INPUTS, kind="compile",
+                           source=SCATTER_SOURCE, prefetch=prefetch,
+                           **{field: value})
+            norm = normalize_request(request)
+            # Executed as sent, not as canonicalised.
+            payload = execute_request(dict(norm, **{field: value}))
+            irs.add(payload["result"]["ir"])
+            keys.add(request_key(norm))
+        assert len(keys) == len(irs)
 
 
 class TestExecuteRequest:
@@ -150,14 +219,8 @@ class TestExecuteRequest:
                    for s in payload["spans"]["records"])
 
     def test_compile_kind(self):
-        source = """
-void kernel(long* restrict dst, long* restrict idx,
-            long* restrict src, long n) {
-    for (long i = 0; i < n; i++)
-        dst[idx[i]] += src[i];
-}
-"""
-        norm = normalize_request({"kind": "compile", "source": source})
+        norm = normalize_request({"kind": "compile",
+                                  "source": SCATTER_SOURCE})
         payload = execute_request(norm)
         assert payload["status"] == "ok"
         assert "prefetch" in payload["result"]["ir"]
@@ -318,6 +381,81 @@ class TestServerBasics:
             assert probe_args(first) == {"hit": False, "layer": "disk"}
             assert probe_args(second) == {"hit": True,
                                           "layer": "memory"}
+        serve_scenario(scenario)(tmp_path)
+
+    def test_plain_shares_one_result_across_lookaheads(self, tmp_path):
+        """``plain`` reads no look-ahead, so a second look-ahead is a
+        store hit whose result still equals a direct run at *its*
+        look-ahead."""
+        from repro.bench.runner import run_variant
+        from repro.machine import HASWELL
+        from repro.passes import PrefetchOptions
+        from repro.workloads import workload_by_name
+
+        async def scenario(server):
+            request = {"workload": "is", "small": True,
+                       "variant": "plain"}
+            status, first = await roundtrip(
+                server, dict(request, lookahead=8))
+            assert status == 200 and first["cached"] is False
+            status, second = await roundtrip(
+                server, dict(request, lookahead=256))
+            assert status == 200 and second["cached"] is True
+            assert second["key"] == first["key"]
+            assert server.metrics.jobs_executed == 1
+            return second
+
+        second = serve_scenario(scenario)(tmp_path)
+        direct = run_variant(workload_by_name("is", small=True),
+                             "plain", HASWELL, lookahead=256,
+                             options=PrefetchOptions(lookahead=256),
+                             cache=False)
+        assert canonical(second["result"]) == \
+            canonical(dataclasses.asdict(direct))
+
+    def test_auto_runs_once_per_lookahead(self, tmp_path):
+        async def scenario(server):
+            request = {"workload": "is", "small": True,
+                       "variant": "auto"}
+            bodies = []
+            for lookahead in (8, 256):
+                status, body = await roundtrip(
+                    server, dict(request, lookahead=lookahead))
+                assert status == 200 and body["cached"] is False
+                bodies.append(body)
+            assert bodies[0]["key"] != bodies[1]["key"]
+            assert server.metrics.jobs_executed == 2
+        serve_scenario(scenario)(tmp_path)
+
+    def test_duplicates_of_a_running_job_skip_the_disk(self, tmp_path):
+        """A duplicate of a job in flight coalesces without probing the
+        disk: the job's answer cannot be stored before it finishes."""
+        async def scenario(server):
+            reads = []
+            disk_get = server.store.get
+
+            def counting_get(key):
+                reads.append(key)
+                return disk_get(key)
+            server.store.get = counting_get
+            pool_run = server.pool.run
+
+            async def slow_run(*args, **kwargs):
+                await asyncio.sleep(0.5)  # keep the job in flight
+                return await pool_run(*args, **kwargs)
+            server.pool.run = slow_run
+            request = {"workload": "is", "small": True,
+                       "variant": "plain"}
+            first = asyncio.ensure_future(roundtrip(server, request))
+            while not server._inflight:
+                await asyncio.sleep(0.01)
+            results = await asyncio.gather(
+                first, *(roundtrip(server, request) for _ in range(3)))
+            assert [status for status, _ in results] == [200] * 4
+            assert [body["coalesced"] for _, body in results] == \
+                [False, True, True, True]
+            assert len(reads) == 1  # the first request's miss only
+            assert server.metrics.jobs_executed == 1
         serve_scenario(scenario)(tmp_path)
 
     def test_disk_hit_after_restart(self, tmp_path):

@@ -52,7 +52,8 @@ def render_serve() -> str:
         f"{SERVE_BENCH.name}: git {host['git_sha']}, "
         f"{host['timestamp_utc']}, Python {host['python']}, "
         f"{host['cpu_count']} CPU",
-        f"mix: {requests} requests, {config['unique']} unique jobs, "
+        f"mix: {requests} requests, {config['unique']} unique jobs "
+        f"(+{config.get('twins', 0)} look-ahead twins), "
         f"concurrency {config['concurrency']}, "
         f"{'small' if config['small'] else 'full'} sizes, "
         f"{config['server_workers']} pool worker(s)",

@@ -10,7 +10,10 @@ properties:
 1. **Correctness**: every 200 answer's ``result`` section is
    byte-identical (canonical JSON) to the same run performed directly
    through :func:`repro.bench.runner.run_variant`, i.e. exactly what
-   ``repro bench`` computes;
+   ``repro bench`` computes.  Each plain job is also sent as a *twin*
+   at another look-ahead, which shares its key (plain reads no
+   look-ahead), and the twin is checked against ``run_variant`` at its
+   own look-ahead, so canonicalised store hits are covered too;
 2. **Sharing**: the duplicate mix must produce coalesce hits and CAS
    hits (> 0 each) — many clients, one simulation substrate;
 3. **Latency**: p50/p95/p99 request latency is measured and archived,
@@ -66,13 +69,19 @@ def canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+#: Look-ahead of each plain job's twin request (the jobs use 64).
+TWIN_LOOKAHEAD = 16
+
+
 def build_mix(unique: int, total: int, small: bool,
               seed: int = 20170204) -> tuple[list[dict], list[int]]:
     """A duplicate-heavy request mix.
 
-    Returns ``(unique_requests, schedule)`` where ``schedule`` is a
-    shuffled list of indices into ``unique_requests`` of length
-    ``total``.  The unique set cycles workloads × variants × machines.
+    Returns ``(requests, schedule)`` where ``schedule`` is a shuffled
+    list of indices into ``requests`` of length ``total``.  The first
+    ``unique`` requests are distinct jobs cycling workloads × variants
+    × machines; a twin at :data:`TWIN_LOOKAHEAD` follows for each
+    plain one.
     """
     workloads = ["is", "cg", "ra", "hj2", "hj8"]
     variants = ["plain", "auto"]
@@ -88,6 +97,8 @@ def build_mix(unique: int, total: int, small: bool,
                     "machine": machine, "lookahead": 64,
                     "validate": True, "tier": "auto", "include": []})
     uniques = pool[:max(1, min(unique, len(pool)))]
+    uniques += [dict(req, lookahead=TWIN_LOOKAHEAD) for req in uniques
+                if req["variant"] == "plain"]
     rng = random.Random(seed)
     schedule = [i % len(uniques) for i in range(total)]
     rng.shuffle(schedule)
@@ -293,9 +304,10 @@ def main() -> int:
 
     uniques, schedule = build_mix(args.unique, args.requests,
                                   args.small)
-    print(f"load_test: {len(uniques)} unique jobs × "
-          f"{args.requests} requests at concurrency "
-          f"{args.concurrency}")
+    twins = sum(req["lookahead"] == TWIN_LOOKAHEAD for req in uniques)
+    print(f"load_test: {len(uniques) - twins} unique jobs "
+          f"(+{twins} look-ahead twins) × {args.requests} requests at "
+          f"concurrency {args.concurrency}")
     print("load_test: computing direct reference results "
           "(run_variant, no cache)...")
     expected = direct_results(uniques)
@@ -338,7 +350,8 @@ def main() -> int:
                      "%Y-%m-%dT%H:%M:%SZ", time.gmtime())},
         "config": {"requests": args.requests,
                    "concurrency": args.concurrency,
-                   "unique": len(uniques), "small": args.small,
+                   "unique": len(uniques) - twins, "twins": twins,
+                   "small": args.small,
                    "spawned": bool(args.spawn),
                    "server_workers": metrics["workers"]["count"]},
         "results": {
